@@ -70,6 +70,10 @@ class RunConfig:
     workers: int = 1
     input: str = None
     output: str = None
+    #: Names of the fields set by a flag or an environment variable.  A plain
+    #: class attribute, not a dataclass field, so to_dict() and the report's
+    #: config section leave it out.
+    configured = frozenset()
 
     def validate(self):
         if self.n < 3:
@@ -114,11 +118,14 @@ def _env_value(field, cast):
 
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
+    configured = set()
     for field, cast in _FIELD_CASTS.items():
         flag = getattr(args, field, None)
         value = flag if flag is not None else _env_value(field, cast)
         if value is not None:
             setattr(cfg, field, value)
+            configured.add(field)
+    cfg.configured = frozenset(configured)
     cfg.validate()
     return cfg
 
@@ -229,14 +236,9 @@ def _load_frame_input(cfg) -> FrameFunction:
         f = FrameFunction(samples=(points, values))
     else:
         raise ParseError(f"{path}: expected a .json operator or a .csv sample file")
-    if f.n != cfg.n and _was_configured(cfg, "n"):
+    if f.n != cfg.n and "n" in cfg.configured:
         raise ConfigurationError(f"--n {cfg.n} disagrees with the input file (n={f.n})")
     return f
-
-
-def _was_configured(cfg, field) -> bool:
-    # the resolved value differs from the dataclass default only if set
-    return getattr(cfg, field) != RunConfig.__dataclass_fields__[field].default
 
 
 def _emit(cfg, text) -> None:

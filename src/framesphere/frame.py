@@ -368,7 +368,14 @@ def _sum_inner(probe: BiDegreePolynomial, parts):
     return total
 
 
-def _moment_entry_sums(evaluate, n, count, rng):
+def _require_finite(vals, first: int) -> None:
+    """Reject non-finite values; ``first`` is the global index of vals[0]."""
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise SamplingFailureError(f"non-finite frame value at sample {first + bad}")
+
+
+def _moment_entry_sums(evaluate, n, count, rng, first):
     s1 = np.zeros((n, n), dtype=complex)
     s2 = np.zeros((n, n))
     idx = np.arange(n)
@@ -377,9 +384,7 @@ def _moment_entry_sums(evaluate, n, count, rng):
         m = int(min(_CHUNK, count - done))
         pts = sphere_sample_batch(n, m, rng)
         vals = np.asarray(evaluate(pts), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise SamplingFailureError(f"non-finite frame value at sample {done + bad}")
+        _require_finite(vals, first + done)
         # per-sample A-integrand: n(n+1) f z_k conj(z_l) - n f delta_kl
         term = (n * (n + 1)) * vals[:, None, None] * np.einsum("sk,sl->skl", pts, np.conj(pts))
         term[:, idx, idx] -= n * vals[:, None]
@@ -455,12 +460,14 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, workers=1, return_stderr=
     s1 = np.zeros((n, n), dtype=complex)
     s2 = np.zeros((n, n))
     streams = [rng] if workers == 1 else [rng.child(w) for w in range(workers)]
+    first = 0  # global index of the share's first sample
     for stream, share in zip(streams, _chunk_sizes(n_samples, len(streams))):
         if share == 0:
             continue
-        a, b = _moment_entry_sums(evaluate, n, share, stream)
+        a, b = _moment_entry_sums(evaluate, n, share, stream, first)
         s1 += a
         s2 += b
+        first += share
     mean = s1 / n_samples
     var = np.maximum(s2 / n_samples - np.abs(mean) ** 2, 0.0) * (n_samples / (n_samples - 1))
     stderr_entries = np.sqrt(var / n_samples)
@@ -600,21 +607,21 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail
     s1 = [np.zeros(len(basis), dtype=complex) for basis in bases]
     s2 = [np.zeros(len(basis)) for basis in bases]
     streams = [rng] if workers == 1 else [rng.child(w) for w in range(workers)]
+    first = 0  # global index of the share's first sample
     for stream, share in zip(streams, _chunk_sizes(n_samples, len(streams))):
         done = 0
         while done < share:
             m = int(min(_CHUNK, share - done))
             pts = sphere_sample_batch(n, m, stream)
             vals = np.asarray(evaluate(pts), dtype=complex)
-            if not np.all(np.isfinite(vals)):
-                bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-                raise SamplingFailureError(f"non-finite frame value at sample {bad}")
+            _require_finite(vals, first + done)
             for bi, basis in enumerate(bases):
                 for mi, z_m in enumerate(basis):
                     prod = np.conj(z_m.evaluate_batch(pts)) * vals
                     s1[bi][mi] += prod.sum()
                     s2[bi][mi] += float(np.sum(np.abs(prod) ** 2))
             done += m
+        first += share
 
     components = {}
     total = 0.0

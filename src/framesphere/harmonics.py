@@ -4,12 +4,17 @@ The space P^{p,q} of bidegree-(p, q) polynomials restricted to S^{2n-1}
 contains the harmonic subspace H^n_{(p,q)} = P^{p,q} ∩ ker(Laplacian); these
 subspaces are mutually orthogonal, irreducible under the unitary group, and
 together span L^2 of the sphere.  Bases are built over exact rationals: the
-Laplacian kernel is computed by fraction-free row reduction and then
-orthogonalised by Gram-Schmidt, so orthogonality and kernel membership are
-exact statements about rational numbers.  Unit normalisation would leave the
-rational field (norms are rational, their square roots are not), so each
-subspace stores exact orthogonal polynomials together with their exact
-squared norms, and exposes the unit-normalised float basis as a derived view.
+Laplacian kernel is computed by exact row reduction and then orthogonalised
+by Gram-Schmidt, so orthogonality and kernel membership are exact statements
+about rational numbers.  Both steps run per charge block: the Laplacian and
+the monomial Gram matrix only connect monomials z^a zbar^b with the same
+charge a - b, so the row reduction of the whole matrix is the blockwise one
+and every projection coefficient across blocks is exactly zero.  The blocked
+basis is therefore identical to the unblocked one.  Unit normalisation
+would leave the rational field (norms are rational, their square roots are
+not), so each subspace stores exact orthogonal polynomials together with
+their exact squared norms, and exposes the unit-normalised float basis as a
+derived view.
 
 Zonal polynomials R^n_{p,q} are generated by
 
@@ -32,7 +37,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DimensionUnsupportedError,
     ResourceGuardError,
     ShapeMismatchError,
 )
@@ -41,6 +45,7 @@ from .measure import (
     MCEstimate,
     RngStream,
     _mc_integrate,
+    _require_dimension,
     exact_monomial_moment,
     haar_sample_batch,
 )
@@ -68,11 +73,6 @@ def _as_bidegree(j) -> BiDegree:
     if p < 0 or q < 0:
         raise ShapeMismatchError(f"bidegree must be nonnegative, got ({p}, {q})")
     return BiDegree(p, q)
-
-
-def _require_dimension(n: int) -> None:
-    if n < 3:
-        raise DimensionUnsupportedError(f"ambient dimension n={n} is not supported; need n >= 3")
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +194,6 @@ def laplacian_kernel_dim(n: int, j) -> int:
     return ncols - len(pivots)
 
 
-def _kernel_vectors(n: int, p: int, q: int):
-    """Exact rational basis of ker(Laplacian) on P^{p,q}, as dense columns."""
-    rows, ncols = _laplacian_rows(n, p, q)
-    if not rows:
-        return [
-            [Fraction(1) if i == k else Fraction(0) for i in range(ncols)]
-            for k in range(ncols)
-        ]
-    rref_rows, pivots = _rref(rows, ncols)
-    pivot_cols = {col: row for row, col in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    vectors = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in pivot_cols.items():
-            coeff = rref_rows[row].get(fc)
-            if coeff:
-                v[pc] = -coeff
-        vectors.append(v)
-    return vectors
-
-
 # ---------------------------------------------------------------------------
 # harmonic subspaces
 # ---------------------------------------------------------------------------
@@ -266,44 +243,53 @@ class HarmonicSubspace:
         return f"HarmonicSubspace(n={self.n}, j={tuple(self.j)}, dim={self.dim})"
 
 
-def _gram_blocks(n: int, p: int, q: int):
-    """Monomial Gram data for P^{p,q}, grouped by the charge vector alpha-beta.
+def _charge(alpha, beta) -> tuple:
+    return tuple(a - b for a, b in zip(alpha, beta))
 
-    <z^a zbar^b, z^a' zbar^b'> is nonzero only when a - b == a' - b' (as
-    integer vectors), in which case it equals the exact moment of b + a'.
+
+def _block_basis(n: int, monos, rows):
+    """Orthogonal basis of the Laplacian kernel within one charge block.
+
+    ``monos`` are the block's pair monomials in global order and ``rows`` the
+    block's Laplacian rows over local columns.  The kernel vectors come from
+    the free columns of the exact RREF; they are orthogonalised by Gram-Schmidt
+    against the block's own Gram matrix, whose entry <z^a zbar^b, z^a' zbar^b'>
+    is the exact moment of b + a'.  Yields (free local column, vector, squared
+    norm) in column order.
     """
-    monos = _pair_monomials(n, p, q)
-    groups: dict = {}
-    for idx, (alpha, beta) in enumerate(monos):
-        charge = tuple(x - y for x, y in zip(alpha, beta))
-        groups.setdefault(charge, []).append(idx)
-    blocks = []
-    for charge in sorted(groups):
-        idxs = groups[charge]
-        size = len(idxs)
-        mat = [[Fraction(0)] * size for _ in range(size)]
-        for i, gi in enumerate(idxs):
-            alpha_i, beta_i = monos[gi]
-            for k, gk in enumerate(idxs):
-                alpha_k, beta_k = monos[gk]
-                m = tuple(x + y for x, y in zip(beta_i, alpha_k))
-                mat[i][k] = exact_monomial_moment(m, m, n)
-        blocks.append((idxs, mat))
-    return monos, blocks
-
-
-def _gram_apply(blocks, v):
-    """G @ v for the block Gram matrix, exact."""
-    out = [Fraction(0)] * len(v)
-    for idxs, mat in blocks:
-        sub = [v[i] for i in idxs]
-        for i, gi in enumerate(idxs):
-            acc = Fraction(0)
-            for k, x in enumerate(sub):
-                if x:
-                    acc += mat[i][k] * x
-            out[gi] = acc
-    return out
+    size = len(monos)
+    rref_rows, pivots = _rref(rows, size)
+    pivot_row = {col: row for row, col in pivots}
+    if len(pivot_row) == size:
+        return
+    gram = []
+    for _, beta in monos:
+        gram_row = []
+        for alpha2, _ in monos:
+            m = tuple(x + y for x, y in zip(beta, alpha2))
+            gram_row.append(exact_monomial_moment(m, m, n))
+        gram.append(gram_row)
+    ortho = []
+    for fc in range(size):
+        if fc in pivot_row:
+            continue
+        v = [Fraction(0)] * size
+        v[fc] = Fraction(1)
+        for pc, row in pivot_row.items():
+            coeff = rref_rows[row].get(fc)
+            if coeff:
+                v[pc] = -coeff
+        for u, gu, ru in ortho:
+            # exact projection coefficient <u, v>/<u, u>; everything is real
+            coeff = sum(g * x for g, x in zip(gu, v) if x) / ru
+            if coeff:
+                v = [x - coeff * y for x, y in zip(v, u)]
+        gv = [sum(g * x for g, x in zip(gram_row, v) if x) for gram_row in gram]
+        rv = sum(g * x for g, x in zip(gv, v) if x)
+        if rv == 0:
+            raise ShapeMismatchError("kernel vectors were not linearly independent")
+        ortho.append((v, gv, rv))
+        yield fc, v, rv
 
 
 _BASIS_CACHE: dict = {}
@@ -313,9 +299,14 @@ def build_basis(n: int, j, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> Harmon
     """Construct an exact orthogonal basis of H^n_{(p,q)}.
 
     Computes the Laplacian kernel on P^{p,q} by exact row reduction and
-    orthogonalises it by Gram-Schmidt in the exact L2 inner product.  Raises
-    ``ResourceGuardError`` when dim P^{p,q} exceeds ``max_monomials``.
-    Results are cached per (n, p, q).
+    orthogonalises it by Gram-Schmidt in the exact L2 inner product, both one
+    charge block at a time.  The Laplacian and the monomial Gram matrix are
+    block-diagonal in the charge alpha - beta, so the RREF of the whole matrix
+    is the blockwise RREF (same pivot columns, same kernel vectors) and every
+    cross-block projection coefficient is exactly zero: the blocked result is
+    the very basis the unblocked computation gives, with the kernel vectors
+    taken in global free-column order.  Raises ``ResourceGuardError`` when
+    dim P^{p,q} exceeds ``max_monomials``.  Results are cached per (n, p, q).
     """
     _require_dimension(n)
     p, q = _as_bidegree(j)
@@ -328,34 +319,26 @@ def build_basis(n: int, j, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> Harmon
     if key in _BASIS_CACHE:
         return _BASIS_CACHE[key]
 
-    monos, blocks = _gram_blocks(n, p, q)
-    kernel = _kernel_vectors(n, p, q)
+    monos = _pair_monomials(n, p, q)
+    blocks: dict = {}  # charge -> its global columns, in increasing order
+    for idx, (alpha, beta) in enumerate(monos):
+        blocks.setdefault(_charge(alpha, beta), []).append(idx)
+    local = {gi: k for cols in blocks.values() for k, gi in enumerate(cols)}
+    block_rows = {charge: [] for charge in blocks}
+    for row in _laplacian_rows(n, p, q)[0]:
+        # the Laplacian keeps the charge, so each row lies in one block
+        alpha, beta = monos[next(iter(row))]
+        block_rows[_charge(alpha, beta)].append({local[c]: v for c, v in row.items()})
 
-    ortho = []
-    gram_applied = []
-    norms = []
-    for v in kernel:
-        v = list(v)
-        for u, gu, ru in zip(ortho, gram_applied, norms):
-            # exact projection coefficient <u, v>/<u, u>; everything is real
-            coeff = sum(gu[i] * v[i] for i in range(len(v)) if v[i]) / ru
-            if coeff:
-                for i in range(len(v)):
-                    if u[i]:
-                        v[i] -= coeff * u[i]
-        gv = _gram_apply(blocks, v)
-        rv = sum(gv[i] * v[i] for i in range(len(v)) if v[i])
-        if rv == 0:
-            raise ShapeMismatchError("kernel vectors were not linearly independent")
-        ortho.append(v)
-        gram_applied.append(gv)
-        norms.append(rv)
+    found = []
+    for charge, cols in blocks.items():
+        block_monos = [monos[i] for i in cols]
+        for fc, v, rv in _block_basis(n, block_monos, block_rows[charge]):
+            terms = {block_monos[i]: x for i, x in enumerate(v) if x}
+            found.append((cols[fc], BiDegreePolynomial(n, p, q, terms), rv))
+    found.sort(key=lambda item: item[0])
 
-    polys = []
-    for v in ortho:
-        terms = {monos[i]: v[i] for i in range(len(v)) if v[i]}
-        polys.append(BiDegreePolynomial(n, p, q, terms))
-    space = HarmonicSubspace(n, (p, q), polys, norms)
+    space = HarmonicSubspace(n, (p, q), [f[1] for f in found], [f[2] for f in found])
     expected = dimension(n, (p, q))
     if space.dim != expected:
         raise ShapeMismatchError(
@@ -724,20 +707,6 @@ def character_batch(space: HarmonicSubspace, gs: np.ndarray) -> np.ndarray:
     ap = _symmetric_power_batch(a1m, p, ladders[p])
     aq = _symmetric_power_batch(a1m, q, ladders[q])
     return np.einsum("sua,svb,abuv->s", ap, np.conj(aq), k4, optimize=True)
-
-
-class _CharacterIntegrand:
-    """conj(chi_j(g)) paired with another batched factor, for Haar MC."""
-
-    def __init__(self, space, factor=None):
-        self.space = space
-        self.factor = factor
-
-    def evaluate_batch(self, gs):
-        chi = np.conj(character_batch(self.space, gs))
-        if self.factor is None:
-            return chi
-        return chi * self.factor(gs)
 
 
 # ---------------------------------------------------------------------------

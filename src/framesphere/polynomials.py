@@ -28,9 +28,6 @@ from .errors import ShapeMismatchError
 from .exact import GaussianRational, conj_scalar, is_exact
 from .measure import exact_monomial_moment
 
-#: Tolerance used when float coefficients are compared or pruned.
-COEFF_TOL = 0.0  # exact zero pruning only; float comparisons pick their own tol
-
 
 def _as_exponents(t, n: int, name: str) -> tuple[int, ...]:
     t = tuple(int(e) for e in t)

@@ -290,6 +290,19 @@ def test_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "disagrees" in capsys.readouterr().err
 
 
+def test_default_dimension_flag_still_checked_against_input(tmp_path, capsys):
+    path = _operator_file(tmp_path, np.eye(4))
+    assert main(["verify-frame", "--input", path, "--n", "3"]) == 2
+    assert "disagrees" in capsys.readouterr().err
+
+
+def test_default_dimension_env_still_checked_against_input(tmp_path, monkeypatch, capsys):
+    path = _operator_file(tmp_path, np.eye(4))
+    monkeypatch.setenv("FRAMESPHERE_N", "3")
+    assert main(["verify-frame", "--input", path]) == 2
+    assert "disagrees" in capsys.readouterr().err
+
+
 def test_underdetermined_samples_exit_2(tmp_path, capsys):
     pts = sphere_sample_batch(3, 5, RngStream(seed=2))
     path = tmp_path / "few.csv"

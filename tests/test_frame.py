@@ -6,6 +6,7 @@ from framesphere.errors import (
     ConfigurationError,
     NegativityWarning,
     ParseError,
+    SamplingFailureError,
     ShapeMismatchError,
     UnderdeterminedDataError,
     UnsupportedEvaluationError,
@@ -392,6 +393,34 @@ def test_frame_residual_argument_checks():
         frame_residual(poly, -1)
     with pytest.raises(ConfigurationError):
         frame_residual(poly, 4, n_samples=100)  # missing rng
+
+
+class _NonFiniteAt:
+    """Constant 1 on the sphere of C^3, except NaN at one global sample index."""
+
+    n = 3
+
+    def __init__(self, index):
+        self.index = index
+        self.seen = 0
+
+    def evaluate_batch(self, pts):
+        vals = np.ones(len(pts), dtype=complex)
+        if self.seen <= self.index < self.seen + len(pts):
+            vals[self.index - self.seen] = np.nan
+        self.seen += len(pts)
+        return vals
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_value_reports_global_sample_index(workers):
+    index = (1 << 16) + 123  # in the second chunk, and in the second of two worker shares
+    n_samples = (1 << 17) + 7
+    rng = RngStream(seed=1)
+    with pytest.raises(SamplingFailureError, match=f"at sample {index}$"):
+        frame_residual(_NonFiniteAt(index), 0, n_samples=n_samples, rng=rng, workers=workers)
+    with pytest.raises(SamplingFailureError, match=f"at sample {index}$"):
+        reconstruct_moment(_NonFiniteAt(index), n_samples, rng, workers=workers)
 
 
 def test_sample_component_fit_recovers_exact_norms():

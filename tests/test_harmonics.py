@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from framesphere import harmonics
+
 from framesphere.errors import (
     ConfigurationError,
     DimensionUnsupportedError,
@@ -28,7 +30,12 @@ from framesphere.harmonics import (
     zonal_harmonic_components,
     zonal_polynomial,
 )
-from framesphere.measure import RngStream, haar_sample_batch, sphere_sample_batch
+from framesphere.measure import (
+    RngStream,
+    exact_monomial_moment,
+    haar_sample_batch,
+    sphere_sample_batch,
+)
 from framesphere.polynomials import (
     BiDegreePolynomial,
     apply_laplacian,
@@ -66,6 +73,100 @@ def test_build_basis_is_harmonic_and_orthogonal(j):
         assert inner_product(v, v) == space.norms_sq[m]
         for w in space.polys[m + 1 :]:
             assert inner_product(v, w) == 0
+
+
+def _dense_basis(n, p, q):
+    """Unblocked oracle: kernel of the whole Laplacian, Gram-Schmidt over all of P^{p,q}."""
+    monos = harmonics._pair_monomials(n, p, q)
+    ncols = len(monos)
+    rows, _ = harmonics._laplacian_rows(n, p, q)
+    rref_rows, pivots = harmonics._rref(rows, ncols)
+    pivot_cols = {col: row for row, col in pivots}
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, row in pivot_cols.items():
+            coeff = rref_rows[row].get(fc)
+            if coeff:
+                v[pc] = -coeff
+        kernel.append(v)
+
+    # monomial Gram matrix, stored per charge block but applied to whole vectors
+    groups = {}
+    for idx, (alpha, beta) in enumerate(monos):
+        groups.setdefault(tuple(a - b for a, b in zip(alpha, beta)), []).append(idx)
+    blocks = []
+    for idxs in groups.values():
+        mat = []
+        for gi in idxs:
+            beta_i = monos[gi][1]
+            moments = []
+            for gk in idxs:
+                m = tuple(a + b for a, b in zip(beta_i, monos[gk][0]))
+                moments.append(exact_monomial_moment(m, m, n))
+            mat.append(moments)
+        blocks.append((idxs, mat))
+
+    def gram_apply(v):
+        out = [Fraction(0)] * ncols
+        for idxs, mat in blocks:
+            for gi, moments in zip(idxs, mat):
+                out[gi] = sum((g * v[gk] for g, gk in zip(moments, idxs) if v[gk]), Fraction(0))
+        return out
+
+    ortho, gram_applied, norms = [], [], []
+    for v in kernel:
+        for u, gu, ru in zip(ortho, gram_applied, norms):
+            coeff = sum(gu[i] * v[i] for i in range(ncols) if v[i]) / ru
+            if coeff:
+                v = [x - coeff * y for x, y in zip(v, u)]
+        gv = gram_apply(v)
+        ortho.append(v)
+        gram_applied.append(gv)
+        norms.append(sum(gv[i] * v[i] for i in range(ncols) if v[i]))
+    polys = [
+        BiDegreePolynomial(n, p, q, {monos[i]: v[i] for i in range(ncols) if v[i]})
+        for v in ortho
+    ]
+    return harmonics.HarmonicSubspace(n, (p, q), polys, norms)
+
+
+_ORACLE_CASES = [
+    (n, (p, total - p))
+    for n, top in ((3, 5), (4, 5), (5, 3))
+    for total in range(top + 1)
+    for p in range(total + 1)
+]
+
+
+@pytest.fixture
+def cold_basis_cache():
+    saved = dict(harmonics._BASIS_CACHE)
+    harmonics._BASIS_CACHE.clear()
+    yield
+    harmonics._BASIS_CACHE.clear()
+    harmonics._BASIS_CACHE.update(saved)
+
+
+@pytest.mark.parametrize("n, j", _ORACLE_CASES, ids=[f"n{n}-{p}{q}" for n, (p, q) in _ORACLE_CASES])
+def test_build_basis_equals_dense_oracle(n, j, cold_basis_cache):
+    space = build_basis(n, j)
+    oracle = _dense_basis(n, *j)
+    assert space.norms_sq == oracle.norms_sq
+    assert [list(v.terms.items()) for v in space.polys] == [
+        list(v.terms.items()) for v in oracle.polys
+    ]
+    assert subspace_to_dict(space) == subspace_to_dict(oracle)
+
+
+@pytest.mark.parametrize("n, j", [(3, (3, 2)), (4, (2, 2)), (5, (2, 1))])
+def test_basis_polynomials_lie_in_one_charge_block(n, j):
+    for v in build_basis(n, j).polys:
+        charges = {tuple(a - b for a, b in zip(alpha, beta)) for alpha, beta in v.terms}
+        assert len(charges) == 1
 
 
 def test_build_basis_normalised_view():
