@@ -24,6 +24,7 @@ from . import __version__
 from .errors import (
     ConfigurationError,
     DimensionUnsupportedError,
+    NumericalError,
     ParseError,
     ResourceGuardError,
     SamplingFailureError,
@@ -536,6 +537,9 @@ def main(argv=None) -> int:
         return 3
     except SamplingFailureError as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
+        return 1
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -25,6 +25,10 @@ class ConfigurationError(ValueError):
     """Invalid run configuration (sample counts, tolerances, missing inputs)."""
 
 
+class NumericalError(RuntimeError):
+    """An identity that holds exactly failed by more than float rounding explains."""
+
+
 class ResourceGuardError(RuntimeError):
     """A computation was refused because it would exceed the configured size bound."""
 

@@ -16,6 +16,19 @@ not), so each subspace stores exact orthogonal polynomials together with
 their exact squared norms, and exposes the unit-normalised float basis as a
 derived view.
 
+Characters need no basis.  As U(n)-modules P^{p,q} = H_(p,q) + P^{p-1,q-1}
+on the sphere, so under f -> f o g^{-1}
+
+    chi_(p,q)(g) = conj(h_p(lambda)) h_q(lambda) - conj(h_{p-1}(lambda)) h_{q-1}(lambda)
+
+with lambda the eigenvalues of g and h_k the complete homogeneous symmetric
+polynomials (the conjugate sits on the holomorphic degree p, which sees
+g^{-1} = g^dagger); this is the Jacobi-Trudi / Weyl character formula
+(Fulton-Harris, Representation Theory, section 24; Macdonald, Symmetric
+Functions, ch. I).  ``character_batch`` evaluates it from traces of matrix
+powers; ``character``, the trace of the representation matrix by exact
+quadrature, is its independent check.
+
 Zonal polynomials R^n_{p,q} are generated by
 
     (1 - xi*z - eta*conj(z) + xi*eta)^(1-n) = sum_{p,q} R^n_{p,q}(z) xi^p eta^q
@@ -215,7 +228,6 @@ class HarmonicSubspace:
         if len(self.polys) != len(self.norms_sq):
             raise ShapeMismatchError("polys and norms_sq must have equal length")
         self._basis_float = None
-        self._char_static = None
 
     @property
     def dim(self) -> int:
@@ -594,104 +606,53 @@ def representation_matrix(space: HarmonicSubspace, g) -> np.ndarray:
 
 
 def character(space: HarmonicSubspace, g) -> complex:
-    """Trace of the representation matrix at g."""
-    return complex(np.trace(representation_matrix(space, g)))
+    """Trace of the representation matrix at g, by exact quadrature.
 
-
-def _char_static(space: HarmonicSubspace):
-    """Precompute the contraction tensor used by the batched character path.
-
-    With K = (sum_m c_m c_m^T / r_m) G in the monomial-pair basis, the
-    character at g is tr(M(g) K) where M(g) is the composition matrix; M
-    factors over the holomorphic and antiholomorphic monomials, giving the
-    einsum in ``character_batch``.
+    Sums the diagonal entries <Z_m, Z_m o g^{-1}> of ``representation_matrix``
+    without forming the rest of it: dim quadratures instead of dim^2.  Uses
+    the basis, so it is an independent check on ``character_batch``.
     """
-    if space._char_static is not None:
-        return space._char_static
-    n, (p, q) = space.n, space.j
-    monos_p = _monomials(n, p)
-    monos_q = _monomials(n, q)
-    np_, nq_ = len(monos_p), len(monos_q)
-    pair_index = {m: i for i, m in enumerate(_pair_monomials(n, p, q))}
-
-    size = np_ * nq_
-    w = np.zeros((size, size))
-    for poly, r in zip(space.polys, space.norms_sq):
-        c = np.zeros(size)
-        for key, coeff in poly.terms.items():
-            c[pair_index[key]] = float(coeff)
-        w += np.outer(c, c) / float(r)
-
-    gram = np.zeros((size, size))
-    monos = _pair_monomials(n, p, q)
-    for i, (alpha, beta) in enumerate(monos):
-        for k, (alpha2, beta2) in enumerate(monos):
-            left = tuple(x + y for x, y in zip(beta, alpha2))
-            right = tuple(x + y for x, y in zip(alpha, beta2))
-            if left == right:
-                gram[i, k] = float(exact_monomial_moment(left, left, n))
-
-    k4 = (w @ gram).reshape(np_, nq_, np_, nq_)
-
-    # Static index maps for building symmetric-power composition matrices.
-    # Everything is indexed by sorted monomial lists (never raw variable
-    # numbers): perm translates degree-1 monomial positions to variables.
-    monos1 = _monomials(n, 1)
-    perm = np.array([mono.index(1) for mono in monos1], dtype=np.int64)
-    mono1_index = {m: i for i, m in enumerate(monos1)}
-
-    def degree_maps(monos_d, monos_prev):
-        prev_index = {m: i for i, m in enumerate(monos_prev)}
-        d_index = {m: i for i, m in enumerate(monos_d)}
-        iprev = np.empty(len(monos_d), dtype=np.int64)
-        kmono = np.empty(len(monos_d), dtype=np.int64)
-        for col, mono in enumerate(monos_d):
-            k = next(i for i, e in enumerate(mono) if e > 0)
-            prev = tuple(e - 1 if i == k else e for i, e in enumerate(mono))
-            ek = tuple(1 if i == k else 0 for i in range(n))
-            iprev[col], kmono[col] = prev_index[prev], mono1_index[ek]
-        # selection tensor: sel[o, m, j] = 1 when mono_m + monos1[j] == mono_o
-        sel = np.zeros((len(monos_d), len(monos_prev), n))
-        for m_i, mono in enumerate(monos_prev):
-            for j_i, ej in enumerate(monos1):
-                target = tuple(e + f for e, f in zip(mono, ej))
-                sel[d_index[target], m_i, j_i] = 1.0
-        return iprev, kmono, sel
-
-    ladders = {}
-    for d in {p, q}:
-        steps = []
-        for dd in range(2, d + 1):
-            steps.append(degree_maps(_monomials(n, dd), _monomials(n, dd - 1)))
-        ladders[d] = steps
-
-    space._char_static = (perm, k4, ladders)
-    return space._char_static
+    diagonal = (inner_product(z_m, compose_with_linear(z_m, g, inverse=True)) for z_m in space.basis)
+    return sum((complex(d) for d in diagonal), 0j)
 
 
-def _symmetric_power_batch(a1m: np.ndarray, d: int, steps) -> np.ndarray:
-    """A_d(h) for a batch: A_d[s, m_out, m_in] = coeff of z^{m_out} in mono_{m_in}(h z).
+def _complete_symmetric_batch(gs: np.ndarray, d: int) -> list:
+    """h_0, ..., h_d of the eigenvalues of each matrix in the batch.
 
-    Built degree by degree from the degree-1 matrix through
-    mono = mono_prev * z_k with k the leading variable; the selection tensor
-    merges products landing on the same output monomial.  All three axes use
-    sorted-monomial indexing (a1m is already permuted from variable order).
+    Takes the power sums p_k = tr(g^k) from batched matrix powers and solves
+    Newton's identities k h_k = sum_{i=1..k} p_i h_{k-i}, starting from
+    h_0 = 1 exactly.
     """
-    if d == 0:
-        return np.ones(a1m.shape[:1] + (1, 1), dtype=complex)
-    acc = a1m
-    for iprev, kmono, sel in steps:
-        acc = np.einsum(
-            "smc,sjc,omj->soc", acc[:, :, iprev], a1m[:, :, kmono], sel, optimize=True
-        )
-    return acc
+    h = [np.ones(gs.shape[0], dtype=complex)]
+    power_sums = []
+    gk = gs
+    for k in range(1, d + 1):
+        if k > 1:
+            gk = gk @ gs
+        power_sums.append(np.trace(gk, axis1=1, axis2=2))
+        h.append(sum(power_sums[i - 1] * h[k - i] for i in range(1, k + 1)) / k)
+    return h
 
 
 def character_batch(space: HarmonicSubspace, gs: np.ndarray) -> np.ndarray:
-    """Characters tr D^j(g) for a batch of unitaries, vectorised.
+    """Characters tr D^j(g) for a batch of unitaries, from their eigenvalues.
 
-    Agrees with ``character`` (tested); used for Schur statistics and the
-    character projection, where one character per Haar sample is needed.
+    As U(n)-modules P^{p,q} = H_(p,q) + P^{p-1,q-1} on the sphere (the fact
+    behind ``dimension``), and P^{p,q} is the tensor product of the degree-p
+    holomorphic and degree-q antiholomorphic polynomials.  Under
+    f -> f o g^{-1} the holomorphic part sees the eigenvalues of
+    g^{-1} = g^dagger, the conjugates of the eigenvalues lambda of g, and the
+    antiholomorphic part sees lambda itself.  Hence
+
+        chi_(p,q)(g) = conj(h_p(lambda)) h_q(lambda)
+                       - conj(h_{p-1}(lambda)) h_{q-1}(lambda),
+
+    with h_k the complete homogeneous symmetric polynomial and the second
+    term absent when p = 0 or q = 0: the Jacobi-Trudi / Weyl character
+    formula (Fulton-Harris, Representation Theory, section 24; Macdonald,
+    Symmetric Functions, ch. I).  chi_(0,0) is exactly 1.  Agrees with the
+    quadrature oracle ``character`` (tested); used for Schur statistics and
+    the character projection, where one character per Haar sample is needed.
     """
     gs = np.asarray(gs, dtype=complex)
     if gs.ndim == 2:
@@ -699,14 +660,11 @@ def character_batch(space: HarmonicSubspace, gs: np.ndarray) -> np.ndarray:
     n, (p, q) = space.n, space.j
     if gs.shape[1:] != (n, n):
         raise ShapeMismatchError(f"expected unitaries of shape ({n},{n}), got {gs.shape[1:]}")
-    perm, k4, ladders = _char_static(space)
-    # composition matrix M for f -> f(g^{-1} z) uses h = g^{-1} = g^dagger
-    h = np.conj(gs).swapaxes(1, 2)
-    a1 = h.swapaxes(1, 2)  # A_1[s, j, k] = h[s, k, j], variable-indexed
-    a1m = a1[:, perm][:, :, perm]  # reindex both axes by sorted degree-1 monomials
-    ap = _symmetric_power_batch(a1m, p, ladders[p])
-    aq = _symmetric_power_batch(a1m, q, ladders[q])
-    return np.einsum("sua,svb,abuv->s", ap, np.conj(aq), k4, optimize=True)
+    h = _complete_symmetric_batch(gs, max(p, q))
+    chi = np.conj(h[p]) * h[q]
+    if p and q:
+        chi -= np.conj(h[p - 1]) * h[q - 1]
+    return chi
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,17 @@ def test_verify_frame_is_deterministic(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_verify_frame_large_entries_exit_cleanly(tmp_path, capsys):
+    gen = np.random.default_rng(1)
+    a = gen.normal(size=(4, 4)) * 1e9
+    path = _operator_file(tmp_path, a + a.T)
+    code = main(["verify-frame", "--input", path, "--max-bidegree", "2"])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert json.loads(captured.out)["config"]["n"] == 4
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from framesphere.frame import (
 )
 from framesphere.harmonics import BiDegree, build_basis
 from framesphere.measure import RngStream, sphere_sample_batch
-from framesphere.polynomials import BiDegreePolynomial
+from framesphere.polynomials import BiDegreePolynomial, inner_product
 
 
 def _quartic_frame(n=3):
@@ -327,6 +327,16 @@ def test_reconstruct_both_routes_agree_exactly():
     assert np.max(np.abs(m_route.entries - h_route.entries)) < 1e-12
 
 
+def test_reconstruct_harmonic_trace_check_scales_with_entries():
+    # float rounding in the traceless part grows with the entries; 1e9-sized
+    # ones used to trip an absolute 1e-10 bound on |tr A0|
+    gen = np.random.default_rng(1)
+    a = gen.normal(size=(4, 4)) * 1e9
+    a = a + a.T
+    got = reconstruct_harmonic(FrameFunction(operator=a))
+    assert np.max(np.abs(got.entries - a)) <= 1e-12 * np.max(np.abs(a))
+
+
 def test_reconstruct_harmonic_monte_carlo():
     a = np.diag([0.5, 0.25, 0.25])
     f = FrameFunction(operator=a)
@@ -379,6 +389,59 @@ def test_frame_residual_parseval_for_injected_component():
     report = frame_residual(v, 4, detail=True)
     assert report.norm_sq == space.norms_sq[0]
     assert report.components[BiDegree(2, 2)] == space.norms_sq[0]
+
+
+def _every_bidegree_components(parts, j_max):
+    """Residual components with a basis built for every bidegree: the oracle."""
+    n = parts[0].n
+    out = {}
+    for total in range(j_max + 1):
+        for p in range(total + 1):
+            j = BiDegree(p, total - p)
+            if j in ((0, 0), (1, 1)):
+                continue
+            comp = Fraction(0)
+            space = build_basis(n, j)
+            for v, r in zip(space.polys, space.norms_sq):
+                c = sum((inner_product(v, part) for part in parts), GaussianRational(0))
+                comp += (c.re * c.re + c.im * c.im) / r
+            out[j] = comp
+    return out
+
+
+def _mixed_harmonic_model():
+    return FrameFunction(
+        harmonic={j: build_basis(3, j).polys[0] for j in [(0, 2), (2, 1), (3, 0), (2, 2)]}
+    )
+
+
+@pytest.mark.parametrize(
+    "make_f, j_max",
+    [
+        (lambda: BiDegreePolynomial.monomial(3, (2, 0, 0), (2, 0, 0)), 5),
+        (lambda: BiDegreePolynomial.monomial(4, (2, 0, 0, 0), (2, 0, 0, 0)), 4),
+        (lambda: BiDegreePolynomial.monomial(3, (2, 1, 0), (1, 0, 0)), 5),
+        (_quartic_frame, 5),
+        (_mixed_harmonic_model, 5),
+    ],
+    ids=["z1^4-n3", "z1^4-n4", "z1^2z2zbar1", "quartic-model", "mixed-model"],
+)
+def test_frame_residual_skips_only_unreachable_bidegrees(make_f, j_max):
+    f = make_f()
+    parts = f.polynomial_parts() if isinstance(f, FrameFunction) else [f]
+    report = frame_residual(f, j_max, detail=True)
+    oracle = _every_bidegree_components(parts, j_max)
+    assert report.components == oracle
+    assert list(report.components) == list(oracle)
+    assert report.norm_sq == sum(oracle.values())
+
+
+def test_frame_residual_float_operator_has_exact_zero_components():
+    # a quadratic form only reaches (1,1) and (0,0); nothing is left to round
+    f = FrameFunction(operator=_random_hermitian(3, np.random.default_rng(3)))
+    report = frame_residual(f, 4, detail=True)
+    assert all(type(c) is float and c == 0.0 for c in report.components.values())
+    assert report.norm == 0.0
 
 
 def test_frame_residual_monte_carlo_within_stderr():

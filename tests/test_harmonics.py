@@ -286,22 +286,52 @@ def test_character_of_adjoint_type_subspace():
     assert np.max(np.abs(chis - expect)) < 1e-10
 
 
-def test_character_batch_matches_single_evaluation():
-    gs = haar_sample_batch(3, 6, RngStream(seed=15))
-    for j in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0)]:
-        space = build_basis(3, j)
+def _bidegrees(top):
+    return [(p, total - p) for total in range(top + 1) for p in range(total + 1)]
+
+
+def _assert_batch_matches_oracle(n, top, seed):
+    # the eigenvalue route against the trace of the quadrature representation
+    gs = haar_sample_batch(n, 3, RngStream(seed=seed))
+    for j in _bidegrees(top):
+        space = build_basis(n, j)
         batch = character_batch(space, gs)
         slow = np.array([character(space, g) for g in gs])
+        assert batch.shape == (len(gs),)
         assert np.max(np.abs(batch - slow)) < 1e-10, j
+
+
+def test_character_batch_matches_single_evaluation():
+    _assert_batch_matches_oracle(3, 4, seed=15)
 
 
 def test_character_batch_matches_single_evaluation_n4():
-    gs = haar_sample_batch(4, 3, RngStream(seed=16))
-    for j in [(2, 1), (2, 2)]:
-        space = build_basis(4, j)
-        batch = character_batch(space, gs)
-        slow = np.array([character(space, g) for g in gs])
-        assert np.max(np.abs(batch - slow)) < 1e-10, j
+    _assert_batch_matches_oracle(4, 4, seed=16)
+
+
+def test_character_batch_matches_single_evaluation_n5():
+    _assert_batch_matches_oracle(5, 3, seed=19)
+
+
+def test_character_oracle_is_trace_of_representation_matrix():
+    g = haar_sample_batch(3, 1, RngStream(seed=22))[0]
+    for j in [(1, 0), (1, 1), (2, 1)]:
+        space = build_basis(3, j)
+        assert abs(character(space, g) - np.trace(representation_matrix(space, g))) < 1e-12
+
+
+def test_trivial_character_is_exactly_one():
+    gs = haar_sample_batch(4, 50, RngStream(seed=23))
+    chis = character_batch(build_basis(4, (0, 0)), gs)
+    assert np.all(chis == 1.0)
+
+
+def test_character_of_swapped_bidegree_is_conjugate():
+    gs = haar_sample_batch(4, 50, RngStream(seed=24))
+    for p, q in [(1, 0), (2, 0), (2, 1), (3, 1), (3, 0)]:
+        chi = character_batch(build_basis(4, (p, q)), gs)
+        swapped = character_batch(build_basis(4, (q, p)), gs)
+        assert np.max(np.abs(swapped - np.conj(chi))) < 1e-12, (p, q)
 
 
 def test_character_20_from_eigenvalues():
