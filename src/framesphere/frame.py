@@ -29,7 +29,13 @@ from .errors import (
     UnsupportedEvaluationError,
 )
 from .exact import GaussianRational
-from .harmonics import BiDegree, _polynomial_parts, build_basis, project_basis
+from .harmonics import (
+    BiDegree,
+    bidegrees_up_to,
+    build_basis,
+    project_basis,
+    reachable_bidegrees,
+)
 from .measure import (
     UNIT_TOL,
     RngStream,
@@ -39,7 +45,14 @@ from .measure import (
     mc_integrate_sphere,
     sphere_sample_batch,
 )
-from .polynomials import BiDegreePolynomial, apply_laplacian, inner_product
+from .polynomials import (
+    BiDegreePolynomial,
+    PolynomialEvaluator,
+    _polynomial_parts,
+    apply_laplacian,
+    batch_evaluator,
+    inner_product,
+)
 
 HERMITIAN_TOL = 1e-10
 GRAM_TOL = 1e-12
@@ -198,10 +211,7 @@ class FrameFunction:
         if self.model == "operator":
             return np.einsum("sk,kl,sl->s", np.conj(pts), self.operator.entries, pts)
         if self.model == "harmonic":
-            out = np.zeros(pts.shape[0], dtype=complex)
-            for comp in self.components.values():
-                out += comp.evaluate_batch(pts)
-            return out
+            return PolynomialEvaluator(self.components.values(), self.n)(pts).sum(axis=0)
         raise UnsupportedEvaluationError(
             "sample-set frame functions cannot be evaluated at new points"
         )
@@ -282,14 +292,6 @@ def _as_point(z, n: int) -> np.ndarray:
     return coords
 
 
-def _evaluator(f):
-    if hasattr(f, "evaluate_batch"):
-        return f.evaluate_batch
-    if callable(f):
-        return lambda pts: np.asarray([f(z) for z in pts], dtype=complex)
-    raise ConfigurationError(f"cannot evaluate an object of type {type(f).__name__}")
-
-
 def _ambient_dimension(f) -> int:
     n = getattr(f, "n", None)
     if n is None:
@@ -303,13 +305,13 @@ def evaluate_frame(f, z) -> complex:
     if isinstance(f, FrameFunction):
         return f.evaluate(z)
     n = _ambient_dimension(f)
-    return complex(_evaluator(f)(_as_point(z, n)[None])[0])
+    return complex(batch_evaluator(f)(_as_point(z, n)[None])[0])
 
 
 def basis_sum(f, basis) -> complex:
     """Sum of frame values over one orthonormal basis."""
     vectors = basis.vectors if isinstance(basis, OrthonormalBasis) else np.asarray(basis, dtype=complex)
-    return complex(np.sum(_evaluator(f)(vectors)))
+    return complex(np.sum(batch_evaluator(f)(vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +324,10 @@ def basis_weight_sums(f, n_bases: int, rng: RngStream) -> np.ndarray:
     if n_bases < 1:
         raise ConfigurationError(f"n_bases must be >= 1, got {n_bases}")
     n = _ambient_dimension(f)
-    evaluate = _evaluator(f)
+    evaluate = batch_evaluator(f)
     gs = haar_sample_batch(n, n_bases, rng)
     vectors = gs.transpose(0, 2, 1).reshape(n_bases * n, n)
-    values = np.asarray(evaluate(vectors), dtype=complex)
+    values = evaluate(vectors)
     return values.reshape(n_bases, n).sum(axis=1)
 
 
@@ -384,7 +386,7 @@ def _moment_entry_sums(evaluate, n, count, rng, first):
     while done < count:
         m = int(min(_CHUNK, count - done))
         pts = sphere_sample_batch(n, m, rng)
-        vals = np.asarray(evaluate(pts), dtype=complex)
+        vals = evaluate(pts)
         _require_finite(vals, first + done)
         # per-sample A-integrand: n(n+1) f z_k conj(z_l) - n f delta_kl
         term = (n * (n + 1)) * vals[:, None, None] * np.einsum("sk,sl->skl", pts, np.conj(pts))
@@ -457,7 +459,7 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, workers=1, return_stderr=
         raise ConfigurationError("Monte Carlo reconstruction needs an RngStream")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    evaluate = _evaluator(f)
+    evaluate = batch_evaluator(f)
     s1 = np.zeros((n, n), dtype=complex)
     s2 = np.zeros((n, n))
     streams = [rng] if workers == 1 else [rng.child(w) for w in range(workers)]
@@ -556,15 +558,6 @@ def _abs_sq(value):
     return abs(complex(value)) ** 2
 
 
-def _residual_bidegrees(j_max: int):
-    return [
-        BiDegree(p, total - p)
-        for total in range(j_max + 1)
-        for p in range(total + 1)
-        if (p, total - p) not in ((0, 0), (1, 1))
-    ]
-
-
 def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail=False):
     """L2 distance from f to its constant + (1,1) part, over p+q <= j_max.
 
@@ -580,7 +573,7 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail
     n = _ambient_dimension(f)
     if j_max < 0:
         raise ConfigurationError(f"j_max must be nonnegative, got {j_max}")
-    degrees = _residual_bidegrees(j_max)
+    degrees = [j for j in bidegrees_up_to(j_max) if j not in ((0, 0), (1, 1))]
 
     if n_samples is None:
         parts = _polynomial_parts(f)
@@ -589,11 +582,7 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail
                 "exact quadrature needs a polynomial model; pass n_samples for Monte Carlo"
             )
         exact_in = all(part.is_exact for part in parts)
-        # a part of bidegree (a, b) only has components in H_(a-k, b-k), k >= 0;
-        # every other component is exactly zero and needs no basis
-        reachable = {
-            (part.p - k, part.q - k) for part in parts for k in range(min(part.p, part.q) + 1)
-        }
+        reachable = reachable_bidegrees(parts)
         components = {}
         total = Fraction(0) if exact_in else 0.0
         for j in degrees:
@@ -615,10 +604,11 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail
         raise ConfigurationError("Monte Carlo residual needs an RngStream")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    evaluate = _evaluator(f)
+    evaluate = batch_evaluator(f)
     bases = [build_basis(n, j).basis for j in degrees]
-    s1 = [np.zeros(len(basis), dtype=complex) for basis in bases]
-    s2 = [np.zeros(len(basis)) for basis in bases]
+    evaluator = PolynomialEvaluator([z_m for basis in bases for z_m in basis], n)
+    s1 = np.zeros(evaluator.count, dtype=complex)
+    s2 = np.zeros(evaluator.count)
     streams = [rng] if workers == 1 else [rng.child(w) for w in range(workers)]
     first = 0  # global index of the share's first sample
     for stream, share in zip(streams, _chunk_sizes(n_samples, len(streams))):
@@ -626,20 +616,22 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail
         while done < share:
             m = int(min(_CHUNK, share - done))
             pts = sphere_sample_batch(n, m, stream)
-            vals = np.asarray(evaluate(pts), dtype=complex)
+            vals = evaluate(pts)
             _require_finite(vals, first + done)
-            for bi, basis in enumerate(bases):
-                for mi, z_m in enumerate(basis):
-                    prod = np.conj(z_m.evaluate_batch(pts)) * vals
-                    s1[bi][mi] += prod.sum()
-                    s2[bi][mi] += float(np.sum(np.abs(prod) ** 2))
+            # per basis function: sums of conj(Z_m) f and of |Z_m f|^2, one block at a time
+            for rows, basis_values in evaluator.blocks(pts):
+                w = vals[rows]
+                s1 += np.conj(basis_values @ np.conj(w))
+                # |Z_m|^2 from the interleaved real and imaginary parts
+                s2 += np.square(basis_values.view(np.float64)) @ np.repeat(np.abs(w) ** 2, 2)
             done += m
         first += share
 
     components = {}
     total = 0.0
     variance = 0.0
-    for j, c1, c2 in zip(degrees, s1, s2):
+    split = np.cumsum([len(basis) for basis in bases])[:-1]
+    for j, c1, c2 in zip(degrees, np.split(s1, split), np.split(s2, split)):
         mean = c1 / n_samples
         var = np.maximum(c2 / n_samples - np.abs(mean) ** 2, 0.0) * (n_samples / (n_samples - 1))
         se_sq = var / n_samples
@@ -669,21 +661,14 @@ def sample_component_fit(f: FrameFunction, j_max: int):
     if j_max < 0:
         raise ConfigurationError(f"j_max must be nonnegative, got {j_max}")
     n, m = f.n, f.points.shape[0]
-    degrees = [
-        BiDegree(p, total - p) for total in range(j_max + 1) for p in range(total + 1)
-    ]
+    degrees = bidegrees_up_to(j_max)
     bases = [build_basis(n, j).basis for j in degrees]
     width = sum(len(basis) for basis in bases)
     if m < width:
         raise UnderdeterminedDataError(
             f"joint fit over p+q <= {j_max} has {width} features but only {m} samples"
         )
-    design = np.empty((m, width), dtype=complex)
-    col = 0
-    for basis in bases:
-        for z_m in basis:
-            design[:, col] = z_m.evaluate_batch(f.points)
-            col += 1
+    design = PolynomialEvaluator([z_m for basis in bases for z_m in basis], n)(f.points).T
     solution, _, rank, _ = np.linalg.lstsq(design, f.values, rcond=None)
     if rank < width:
         raise UnderdeterminedDataError(
@@ -768,7 +753,7 @@ def hermitian_check(f, a: OperatorMatrix, n_points: int = 256, rng=None):
         if rng is None:
             rng = RngStream(seed=0, stream_id=102)
         n = _ambient_dimension(f)
-        values = np.asarray(_evaluator(f)(sphere_sample_batch(n, n_points, rng)), dtype=complex)
+        values = batch_evaluator(f)(sphere_sample_batch(n, n_points, rng))
     max_imag = float(np.max(np.abs(values.imag)))
     real_valued = max_imag <= REAL_TOL
     hermitian = a.is_hermitian

@@ -61,10 +61,13 @@ from .measure import (
     _require_dimension,
     exact_monomial_moment,
     haar_sample_batch,
+    sphere_sample_batch,
 )
 from .polynomials import (
     BiDegreePolynomial,
-    apply_laplacian,
+    PolynomialEvaluator,
+    _polynomial_parts,
+    batch_evaluator,
     compose_with_linear,
     inner_product,
     poly_from_records,
@@ -112,6 +115,23 @@ def dimension(n: int, j) -> int:
     return _dim_poly_space(n, p) * _dim_poly_space(n, q) - _dim_poly_space(
         n, p - 1
     ) * _dim_poly_space(n, q - 1)
+
+
+def bidegrees_up_to(j_max: int) -> list:
+    """Every bidegree with p + q <= j_max, by total degree and then by p."""
+    return [BiDegree(p, total - p) for total in range(j_max + 1) for p in range(total + 1)]
+
+
+def reachable_bidegrees(parts) -> set:
+    """The bidegrees whose harmonic components a sum of polynomials can have.
+
+    On the sphere P^{a,b} = H_(a,b) + P^{a-1,b-1}, so a part of bidegree
+    (a, b) only has components in H_(a-k, b-k), k >= 0; every other
+    component is exactly zero and needs no basis.
+    """
+    return {
+        BiDegree(part.p - k, part.q - k) for part in parts for k in range(min(part.p, part.q) + 1)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -672,30 +692,6 @@ def character_batch(space: HarmonicSubspace, gs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _polynomial_parts(f):
-    """View ``f`` as a list of polynomials if it has one, else None."""
-    if isinstance(f, BiDegreePolynomial):
-        return [f]
-    if isinstance(f, (list, tuple)) and all(isinstance(x, BiDegreePolynomial) for x in f):
-        return list(f)
-    parts = getattr(f, "polynomial_parts", None)
-    if parts is not None:
-        value = parts() if callable(parts) else parts
-        return None if value is None else list(value)
-    return None
-
-
-def _batch_evaluator(f):
-    if hasattr(f, "evaluate_batch"):
-        return f.evaluate_batch
-    parts = _polynomial_parts(f)
-    if parts is not None:
-        return lambda pts: sum(p.evaluate_batch(pts) for p in parts)
-    if callable(f):
-        return lambda pts: np.asarray([f(x) for x in pts], dtype=complex)
-    raise ConfigurationError(f"cannot evaluate object of type {type(f).__name__}")
-
-
 def project_basis(
     f,
     space: HarmonicSubspace,
@@ -735,15 +731,14 @@ def project_basis(
             raise ConfigurationError("Monte Carlo projection needs n_samples >= 2")
         if rng is None:
             raise ConfigurationError("Monte Carlo projection needs an RngStream")
-        from .measure import sphere_sample_batch
-
-        evaluate = _batch_evaluator(f)
         pts = sphere_sample_batch(space.n, n_samples, rng)
-        values = np.asarray(evaluate(pts), dtype=complex)
+        values = batch_evaluator(f)(pts)
+        sums = np.zeros(space.dim, dtype=complex)
+        for rows, basis_values in PolynomialEvaluator(space.basis, space.n).blocks(pts):
+            sums += np.conj(basis_values) @ values[rows]
         result = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
-        for z_m in space.basis:
-            coeff = complex(np.mean(np.conj(z_m.evaluate_batch(pts)) * values))
-            result = result + z_m * coeff
+        for z_m, coeff in zip(space.basis, sums / n_samples):
+            result = result + z_m * complex(coeff)
         return result
     raise ConfigurationError(f"unknown integration mode {integration!r}")
 
@@ -767,14 +762,14 @@ def project_character(
     u_coords = np.asarray(getattr(u, "coords", u), dtype=complex)
     if u_coords.shape != (space.n,):
         raise ShapeMismatchError(f"point has shape {u_coords.shape}, expected ({space.n},)")
-    evaluate = _batch_evaluator(f)
+    evaluate = batch_evaluator(f)
     dim = space.dim
 
     class _Integrand:
         def evaluate_batch(self, gs):
             chi = np.conj(character_batch(space, gs))
             pts = np.einsum("sji,j->si", np.conj(gs), u_coords)
-            return dim * chi * np.asarray(evaluate(pts), dtype=complex)
+            return dim * chi * evaluate(pts)
 
     return _mc_integrate(_Integrand(), space.n, n_samples, rng, workers, haar_sample_batch)
 

@@ -182,13 +182,6 @@ def sample_haar_unitary(n: int, rng: RngStream) -> UnitaryMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_integrand(f, batch: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on a batch of samples (points or matrices)."""
-    if hasattr(f, "evaluate_batch"):
-        return np.asarray(f.evaluate_batch(batch), dtype=complex)
-    return np.asarray([f(x) for x in batch], dtype=complex)
-
-
 def _check_finite(values: np.ndarray, batch: np.ndarray) -> None:
     finite = np.isfinite(values.real) & np.isfinite(values.imag)
     if not finite.all():
@@ -208,6 +201,10 @@ def _mc_integrate(f, n: int, n_samples: int, rng: RngStream, workers: int, sampl
         raise ConfigurationError(f"n_samples must be >= 2, got {n_samples}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    # imported here because polynomials imports this module
+    from .polynomials import batch_evaluator
+
+    evaluate = batch_evaluator(f)
 
     # Each worker owns a deterministic substream; partial results are merged
     # in worker order, so the estimate depends only on (seed, stream, workers).
@@ -218,7 +215,7 @@ def _mc_integrate(f, n: int, n_samples: int, rng: RngStream, workers: int, sampl
         if size == 0:
             continue
         batch = sampler(n, size, rng.child(w) if workers > 1 else rng)
-        values = _evaluate_integrand(f, batch)
+        values = evaluate(batch)
         if values.shape != (size,):
             raise ShapeMismatchError(
                 f"integrand returned shape {values.shape}, expected ({size},)"
@@ -244,9 +241,11 @@ def mc_integrate_sphere(f, n: int, n_samples: int, rng: RngStream, workers: int 
 
     Parameters
     ----------
-    f : callable or object with ``evaluate_batch``
+    f : callable, polynomial(s), or object with ``evaluate_batch``
         Called with each sample's coordinate array of shape (n,), or with the
-        whole (count, n) batch when it exposes ``evaluate_batch``.
+        whole (count, n) batch when it exposes ``evaluate_batch``; a
+        polynomial or a list of them is summed over the whole batch
+        (``polynomials.batch_evaluator``).
     n : int
         Ambient complex dimension, n >= 3.
     n_samples : int

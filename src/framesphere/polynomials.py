@@ -16,15 +16,26 @@ The L2 inner product over the uniform sphere measure reduces termwise to
 regime.  Because restriction to the sphere identifies |z|^2 with 1, two
 polynomials of different bidegrees are *not* automatically orthogonal: the
 moment delta only forces the product to vanish when the charges p - q differ.
+
+Batch evaluation has one path, ``PolynomialEvaluator``.  It compiles a list
+of polynomials once: their monomials, with every ancestor, form a tree in
+which each node is its parent times one coordinate z_i or one conjugate
+conj(z_i), and the nodes are ordered by bidegree so that the polynomials of
+one bidegree are a single dense coefficient block over one contiguous slice.
+Each call fills the monomial table for ``EVAL_BLOCK`` (2048) points at a time
+at one complex multiply per monomial and point, and evaluates each bidegree
+as one matrix product.  A single dense matrix over all monomials would be
+mostly zeros, since a polynomial only touches its own bidegree's slice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ConfigurationError, ShapeMismatchError
 from .exact import GaussianRational, conj_scalar, is_exact
 from .measure import exact_monomial_moment
 
@@ -186,18 +197,164 @@ class BiDegreePolynomial:
         return complex(self.evaluate_batch(coords[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """Values at each row of a (count, n) batch, via ``PolynomialEvaluator``."""
+        return PolynomialEvaluator([self], self.n)(points)[0]
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation
+# ---------------------------------------------------------------------------
+
+#: Points per feature block of ``PolynomialEvaluator``.  The monomial table of
+#: one block stays in cache; much smaller blocks pay numpy call overhead and
+#: one block of 2^16 points is slower again.
+EVAL_BLOCK = 2048
+
+
+def _tree_parent(alpha, beta):
+    """The monomial one factor below z^alpha zbar^beta, and that factor.
+
+    The factor is an index into the rows z_0..z_{n-1}, conj(z_0)..conj(z_{n-1}):
+    conjugates are stripped first, from the last coordinate.
+    """
+    n = len(alpha)
+    for exps, offset in ((beta, n), (alpha, 0)):
+        for i in range(n - 1, -1, -1):
+            if exps[i]:
+                lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+                key = (alpha, lower) if offset else (lower, beta)
+                return key, offset + i
+
+
+class PolynomialEvaluator:
+    """Evaluates a list of polynomials on point batches, sharing their monomials.
+
+    Compiled once: every monomial z^alpha zbar^beta of the polynomials becomes
+    a node of a tree, together with its ancestors, where each node is its
+    parent times one coordinate z_i or one conjugate conj(z_i).  The nodes
+    are ordered by bidegree (|alpha|, |beta|), which puts every parent before
+    its children and each bidegree's monomials in one contiguous slice; the
+    coefficients of the polynomials of one bidegree form one dense block over
+    that slice.  A call fills the node table for at most ``EVAL_BLOCK`` points
+    at a time (one complex multiply per node and point) and evaluates each
+    bidegree's polynomials as one matrix product ``coeffs @ table[lo:hi]``.
+    Exact coefficients are converted to complex.
+
+    ``evaluator(points)`` takes a (count, n) batch and returns the values as
+    shape (len(polys), count).
+    """
+
+    def __init__(self, polys, n: int):
+        polys = list(polys)
+        if any(poly.n != n for poly in polys):
+            raise ShapeMismatchError(f"every polynomial must live on C^{n}")
+        self.n = n
+        self.count = len(polys)
+        root = ((0,) * n, (0,) * n)
+        parents = {root: (root, 0)}
+        for poly in polys:
+            for key in poly.terms:
+                while key not in parents:
+                    parents[key] = _tree_parent(*key)
+                    key = parents[key][0]
+        nodes = sorted(parents, key=lambda k: (_bidegree(k), k))  # the root comes first
+        index = {key: i for i, key in enumerate(nodes)}
+
+        # (lo, hi, parent rows, factor rows) per bidegree of the nodes after the root
+        self._fill = []
+        spans = {(0, 0): (0, 1)}
+        lo = 1
+        for bideg, group in groupby(nodes[1:], key=_bidegree):
+            group = list(group)
+            hi = lo + len(group)
+            parent_rows = np.array([index[parents[k][0]] for k in group])
+            factor_rows = np.array([parents[k][1] for k in group])
+            self._fill.append((lo, hi, parent_rows, factor_rows))
+            spans[bideg] = (lo, hi)
+            lo = hi
+        self._node_count = len(nodes)
+
+        # one dense coefficient block per bidegree of the polynomials
+        rows_of: dict = {}
+        for row, poly in enumerate(polys):
+            if poly.terms:
+                rows_of.setdefault((poly.p, poly.q), []).append(row)
+        self._blocks = []
+        for bideg, rows in rows_of.items():
+            lo, hi = spans[bideg]
+            coeffs = np.zeros((len(rows), hi - lo), dtype=complex)
+            for r, row in enumerate(rows):
+                for key, c in polys[row].terms.items():
+                    coeffs[r, index[key] - lo] = complex(c)
+            self._blocks.append((np.array(rows), lo, hi, coeffs))
+
+    def blocks(self, points):
+        """Yield (rows, values) over consecutive blocks of at most EVAL_BLOCK points.
+
+        ``values`` is this evaluator on ``points[rows]``, shape
+        (len(polys), block size), in a buffer that the next block overwrites:
+        folding each block into running sums keeps memory at one block
+        however many points there are.
+        """
         points = np.asarray(points, dtype=complex)
         if points.ndim != 2 or points.shape[1] != self.n:
             raise ShapeMismatchError(
                 f"batch has shape {points.shape}, expected (count, {self.n})"
             )
-        out = np.zeros(points.shape[0], dtype=complex)
-        conj = np.conj(points)
-        for (alpha, beta), c in self.terms.items():
-            term = np.prod(points ** np.array(alpha), axis=1)
-            term *= np.prod(conj ** np.array(beta), axis=1)
-            out += complex(c) * term
+        block_len = min(len(points), EVAL_BLOCK)
+        table = np.empty((self._node_count, block_len), dtype=complex)
+        values = np.zeros((self.count, block_len), dtype=complex)  # zero polynomials stay 0
+        for start in range(0, len(points), EVAL_BLOCK):
+            block = points[start : start + EVAL_BLOCK].T
+            size = block.shape[1]
+            factors = np.concatenate([block, np.conj(block)])
+            feats = table[:, :size]
+            feats[0] = 1.0
+            for lo, hi, parent_rows, factor_rows in self._fill:
+                np.multiply(feats[parent_rows], factors[factor_rows], out=feats[lo:hi])
+            for poly_rows, lo, hi, coeffs in self._blocks:
+                values[poly_rows, :size] = coeffs @ feats[lo:hi]
+            yield slice(start, start + size), values[:, :size]
+
+    def __call__(self, points) -> np.ndarray:
+        out = np.zeros((self.count, np.shape(points)[0]), dtype=complex)
+        for rows, values in self.blocks(points):
+            out[:, rows] = values
         return out
+
+
+def _bidegree(key) -> tuple:
+    return sum(key[0]), sum(key[1])
+
+
+def _polynomial_parts(f):
+    """View ``f`` as a list of polynomials if it has one, else None."""
+    if isinstance(f, BiDegreePolynomial):
+        return [f]
+    if isinstance(f, (list, tuple)) and all(isinstance(x, BiDegreePolynomial) for x in f):
+        return list(f)
+    parts = getattr(f, "polynomial_parts", None)
+    if parts is not None:
+        value = parts() if callable(parts) else parts
+        return None if value is None else list(value)
+    return None
+
+
+def batch_evaluator(f):
+    """The batch function of ``f``: a (count, ...) sample batch -> (count,) values.
+
+    ``f`` may expose ``evaluate_batch`` (used as is), be a polynomial or a
+    list of polynomials (summed through one ``PolynomialEvaluator``), or be a
+    plain callable applied to each sample in turn.
+    """
+    if hasattr(f, "evaluate_batch"):
+        return lambda batch: np.asarray(f.evaluate_batch(batch), dtype=complex)
+    parts = _polynomial_parts(f)
+    if parts is not None:
+        return lambda batch: PolynomialEvaluator(parts, np.shape(batch)[-1])(batch).sum(axis=0)
+    if callable(f):
+        return lambda batch: np.asarray([f(x) for x in batch], dtype=complex)
+    raise ConfigurationError(f"cannot evaluate an object of type {type(f).__name__}")
 
 
 # ---------------------------------------------------------------------------

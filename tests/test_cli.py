@@ -10,9 +10,10 @@ from framesphere.cli import (
     write_operator_json,
     write_samples_csv,
 )
-from framesphere.frame import OperatorMatrix
+from framesphere.frame import FrameFunction, OperatorMatrix
+from framesphere.harmonics import bidegrees_up_to, build_basis, project_basis
 from framesphere.measure import RngStream, sphere_sample_batch
-from framesphere.polynomials import BiDegreePolynomial
+from framesphere.polynomials import BiDegreePolynomial, norm_sq
 
 
 def _operator_file(tmp_path, entries, name="op.json"):
@@ -138,6 +139,41 @@ def test_verify_frame_large_entries_exit_cleanly(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_verify_frame_scales_its_tolerances_with_the_operator(tmp_path, capsys):
+    # a genuine frame function with 1e9-sized entries: rounding alone exceeds
+    # the absolute tolerances, the ones scaled by max|A| accept it
+    gen = np.random.default_rng(1)
+    a = gen.normal(size=(4, 4)) * 1e9
+    path = _operator_file(tmp_path, a + a.T)
+    code = main(["verify-frame", "--input", path, "--max-bidegree", "2"])
+    payload = json.loads(capsys.readouterr().out)
+    scale = float(np.max(np.abs(OperatorMatrix.from_dict(payload["reconstruction"]["operator"]).entries)))
+    assert code == 0 and payload["verdict"] is True
+    assert payload["weight"]["max_deviation"] > 1e-8
+    assert payload["reconstruction"]["cross_method_gap"] > 1e-9
+    assert payload["tolerances"]["weight_deviation"] == pytest.approx(1e-8 * scale, rel=1e-15)
+    assert payload["tolerances"]["cross_method_gap"] == pytest.approx(1e-9 * scale, rel=1e-15)
+    assert payload["tolerances"]["residual_l2"] == 1e-8
+
+
+def test_verify_frame_tolerances_stay_absolute_for_small_operators(tmp_path, capsys):
+    path = _operator_file(tmp_path, np.diag([0.5, -0.25, 0.125]))
+    assert main(["verify-frame", "--input", path]) == 0
+    tolerances = json.loads(capsys.readouterr().out)["tolerances"]
+    assert tolerances["weight_deviation"] == 1e-8
+    assert tolerances["cross_method_gap"] == 10 * 1e-10
+
+
+def test_verify_frame_rejects_large_quartic_samples(tmp_path, capsys):
+    poly = BiDegreePolynomial.monomial(3, (2, 0, 0), (2, 0, 0))
+    pts = sphere_sample_batch(3, 400, RngStream(seed=99))
+    path = tmp_path / "big-quartic.csv"
+    write_samples_csv(path, pts, 1e9 * poly.evaluate_batch(pts))
+    code = main(["verify-frame", "--input", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["residual"]["verdict"] is False
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -151,6 +187,29 @@ def test_decompose_identity_operator(tmp_path, capsys):
     assert out[0] == "p,q,dim,component_l2_norm"
     assert out[1] == "0,0,1,1.0"
     assert len(out) == 2  # the identity form is purely constant
+
+
+def _every_bidegree_decompose_csv(f, max_bidegree):
+    """decompose's table with a basis built and projected for every bidegree."""
+    lines = ["p,q,dim,component_l2_norm"]
+    for j in bidegrees_up_to(max_bidegree):
+        space = build_basis(f.n, j)
+        norm = float(np.sqrt(float(abs(complex(norm_sq(project_basis(f, space)))))))
+        if norm > 1e-12:
+            lines.append(f"{j.p},{j.q},{space.dim},{norm!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, max_bidegree", [(3, 5), (4, 4)])
+def test_decompose_skips_unreachable_bases_without_changing_the_table(tmp_path, n, max_bidegree):
+    gen = np.random.default_rng(n)
+    a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    path = _operator_file(tmp_path, a)
+    out = tmp_path / "table.csv"
+    code = main(["decompose", "--input", path, "--max-bidegree", str(max_bidegree), "--output", str(out)])
+    assert code == 0
+    f = FrameFunction(operator=OperatorMatrix(a))
+    assert out.read_text() == _every_bidegree_decompose_csv(f, max_bidegree)
 
 
 def test_decompose_quartic_samples(tmp_path, capsys):

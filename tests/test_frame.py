@@ -31,7 +31,7 @@ from framesphere.frame import (
     reconstruct_moment,
     sample_component_fit,
 )
-from framesphere.harmonics import BiDegree, build_basis
+from framesphere.harmonics import BiDegree, build_basis, project_basis
 from framesphere.measure import RngStream, sphere_sample_batch
 from framesphere.polynomials import BiDegreePolynomial, inner_product
 
@@ -44,8 +44,6 @@ def _quartic_frame(n=3):
         (1, 1): None,
         (2, 2): None,
     }
-    from framesphere.harmonics import project_basis
-
     return FrameFunction(
         harmonic={j: project_basis(poly, build_basis(n, j)) for j in comps}
     )
@@ -448,6 +446,74 @@ def test_frame_residual_monte_carlo_within_stderr():
     poly = BiDegreePolynomial.monomial(3, (2, 0, 0), (2, 0, 0))
     report = frame_residual(poly, 4, n_samples=200_000, rng=RngStream(seed=12), detail=True)
     assert abs(report.norm_sq - 1 / 300) <= 4 * report.stderr
+
+
+def _random_harmonic_model(gen, n=3, degrees=((0, 0), (1, 1), (2, 2), (3, 1), (0, 2))):
+    """A non-frame harmonic model with random float coefficients over exact bases."""
+    components = {}
+    for j in degrees:
+        poly = BiDegreePolynomial(n, j[0], j[1], {})
+        for z_m in build_basis(n, j).basis:
+            poly = poly + z_m * complex(gen.normal(), gen.normal())
+        components[j] = poly
+    return FrameFunction(harmonic=components)
+
+
+def _relative_gap(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_monte_carlo_routes_match_the_term_loop(use_term_loop):
+    # same seeds, same sample streams: only the evaluation order of the sums differs
+    f = _random_harmonic_model(np.random.default_rng(21))
+    space = build_basis(3, (2, 2))
+    count = 2 * 2048 + 77
+
+    def run():
+        residual = frame_residual(f, 4, n_samples=count, rng=RngStream(seed=22), detail=True)
+        moment, stderr = reconstruct_moment(f, count, RngStream(seed=23), return_stderr=True)
+        projection = project_basis(f, space, integration="mc", n_samples=count, rng=RngStream(seed=24))
+        return residual, moment, stderr, projection
+
+    residual, moment, stderr, projection = run()
+    use_term_loop()
+    slow_residual, slow_moment, slow_stderr, slow_projection = run()
+
+    assert _relative_gap(residual.norm_sq, slow_residual.norm_sq) <= 1e-12
+    assert _relative_gap(residual.stderr, slow_residual.stderr) <= 1e-12
+    assert list(residual.components) == list(slow_residual.components)
+    components = [residual.components[j] for j in residual.components]
+    assert _relative_gap(components, list(slow_residual.components.values())) <= 1e-12
+    assert _relative_gap(moment.entries, slow_moment.entries) <= 1e-12
+    assert _relative_gap(stderr, slow_stderr) <= 1e-12
+    assert projection.terms.keys() == slow_projection.terms.keys()
+    keys = list(projection.terms)
+    assert _relative_gap(
+        [projection.terms[k] for k in keys], [slow_projection.terms[k] for k in keys]
+    ) <= 1e-12
+
+
+def test_monte_carlo_residual_keeps_the_per_basis_estimator(term_loop):
+    # the estimator written out one basis function at a time, on the same sample stream
+    f = _random_harmonic_model(np.random.default_rng(27))
+    count = 2048 + 300  # one sampling chunk, two evaluation blocks
+    report = frame_residual(f, 3, n_samples=count, rng=RngStream(seed=28), detail=True)
+
+    pts = sphere_sample_batch(3, count, RngStream(seed=28))
+    vals = sum(term_loop(poly, pts) for poly in f.components.values())
+    variance = 0.0
+    for j, comp in report.components.items():
+        expected = 0.0
+        for z_m in build_basis(3, j).basis:
+            prod = np.conj(term_loop(z_m, pts)) * vals
+            mean = prod.mean()
+            var = max(np.mean(np.abs(prod) ** 2) - abs(mean) ** 2, 0.0) * count / (count - 1)
+            se_sq = var / count
+            expected += abs(mean) ** 2 - se_sq
+            variance += 2.0 * abs(mean) ** 2 * se_sq + 2.0 * se_sq**2
+        assert comp == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert report.stderr == pytest.approx(np.sqrt(variance), rel=1e-12)
 
 
 def test_frame_residual_argument_checks():

@@ -13,6 +13,7 @@ from framesphere.errors import (
 from framesphere.exact import GaussianRational
 from framesphere.harmonics import (
     BiDegree,
+    bidegrees_up_to,
     build_basis,
     character,
     character_batch,
@@ -20,6 +21,7 @@ from framesphere.harmonics import (
     laplacian_kernel_dim,
     project_basis,
     project_character,
+    reachable_bidegrees,
     representation_matrix,
     subspace_from_dict,
     subspace_to_dict,
@@ -51,6 +53,26 @@ def test_dimension_formula_values():
     assert dimension(3, (1, 0)) == 3
     assert dimension(3, (2, 0)) == 6
     assert dimension(3, (2, 2)) == 27
+
+
+def test_bidegrees_up_to_orders_by_total_then_p():
+    assert bidegrees_up_to(0) == [(0, 0)]
+    assert bidegrees_up_to(2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert all(isinstance(j, BiDegree) for j in bidegrees_up_to(3))
+    assert len(bidegrees_up_to(5)) == 21
+    assert bidegrees_up_to(-1) == []
+
+
+def test_reachable_bidegrees_follow_the_laplacian_ladder():
+    quadratic = BiDegreePolynomial.monomial(3, (1, 0, 0), (0, 1, 0))
+    quartic = BiDegreePolynomial.monomial(3, (2, 1, 0), (1, 0, 0))
+    assert reachable_bidegrees([quadratic]) == {(1, 1), (0, 0)}
+    assert reachable_bidegrees([quartic, quadratic]) == {(3, 1), (2, 0), (1, 1), (0, 0)}
+    assert reachable_bidegrees([]) == set()
+    # every component outside the reachable set is exactly zero
+    for j in bidegrees_up_to(4):
+        if j not in reachable_bidegrees([quartic]):
+            assert not project_basis(quartic, build_basis(3, j))
 
 
 def test_dimension_rejects_small_n():

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from framesphere.errors import ShapeMismatchError
+from framesphere.errors import ConfigurationError, ShapeMismatchError
 from framesphere.exact import GaussianRational
+from framesphere.harmonics import bidegrees_up_to, build_basis
 from framesphere.measure import RngStream, haar_sample_batch, sphere_sample_batch
 from framesphere.polynomials import (
+    EVAL_BLOCK,
     BiDegreePolynomial,
+    PolynomialEvaluator,
     apply_laplacian,
+    batch_evaluator,
     compose_with_linear,
     inner_product,
     norm_sq,
@@ -71,6 +75,98 @@ def test_evaluate_batch_matches_pointwise():
     batch = f.evaluate_batch(pts)
     for z, v in zip(pts, batch):
         assert v == pytest.approx(f.evaluate(z))
+
+
+# ---------------------------------------------------------------------------
+# PolynomialEvaluator against the per-term loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, j_max", [(3, 5), (4, 4)])
+def test_evaluator_matches_term_loop_on_every_basis(n, j_max, term_loop):
+    # every bidegree's basis in one call, on more points than one block holds
+    polys = [z for j in bidegrees_up_to(j_max) for z in build_basis(n, j).basis]
+    pts = sphere_sample_batch(n, EVAL_BLOCK + 61, RngStream(seed=5))
+    values = PolynomialEvaluator(polys, n)(pts)
+    assert values.shape == (len(polys), len(pts))
+    oracle = np.array([term_loop(poly, pts) for poly in polys])
+    assert np.max(np.abs(values - oracle)) <= 1e-12
+
+
+def test_evaluator_interleaved_bidegrees_and_zero_polynomials(term_loop):
+    a = BiDegreePolynomial(3, 2, 1, {((2, 0, 0), (0, 1, 0)): 1 + 1j, ((1, 1, 0), (0, 0, 1)): -2})
+    b = BiDegreePolynomial(3, 0, 3, {((0, 0, 0), (1, 1, 1)): 0.5})
+    c = BiDegreePolynomial(3, 2, 1, {((0, 0, 2), (1, 0, 0)): 3j})
+    zero = BiDegreePolynomial(3, 4, 4, {})
+    polys = [a, zero, b, c, a]
+    pts = sphere_sample_batch(3, 100, RngStream(seed=6))
+    values = PolynomialEvaluator(polys, 3)(pts)
+    for row, poly in enumerate(polys):
+        assert np.max(np.abs(values[row] - term_loop(poly, pts))) <= 1e-14
+    assert not values[1].any()
+    assert not PolynomialEvaluator([zero], 3)(pts).any()
+
+
+def test_evaluator_empty_inputs():
+    pts = sphere_sample_batch(3, 10, RngStream(seed=7))
+    assert PolynomialEvaluator([], 3)(pts).shape == (0, 10)
+    one = BiDegreePolynomial.constant(3, 2.5)
+    assert PolynomialEvaluator([one], 3)(np.zeros((0, 3))).shape == (1, 0)
+    assert list(PolynomialEvaluator([one], 3).blocks(np.zeros((0, 3)))) == []
+    assert np.array_equal(PolynomialEvaluator([one], 3)(pts), np.full((1, 10), 2.5 + 0j))
+
+
+def test_evaluator_exact_coefficients_match_their_float_values():
+    exact = BiDegreePolynomial(
+        3,
+        1,
+        2,
+        {
+            ((1, 0, 0), (0, 1, 1)): GaussianRational(Fraction(1, 3), Fraction(-2, 7)),
+            ((0, 1, 0), (2, 0, 0)): Fraction(5, 4),
+            ((0, 0, 1), (0, 0, 2)): -3,
+        },
+    )
+    floaty = BiDegreePolynomial(3, 1, 2, {k: complex(c) for k, c in exact.terms.items()})
+    pts = sphere_sample_batch(3, 50, RngStream(seed=8))
+    assert np.array_equal(PolynomialEvaluator([exact], 3)(pts), PolynomialEvaluator([floaty], 3)(pts))
+
+
+def test_evaluator_blocks_cover_the_points_in_order():
+    polys = build_basis(3, (2, 1)).basis
+    pts = sphere_sample_batch(3, 2 * EVAL_BLOCK + 5, RngStream(seed=9))
+    evaluator = PolynomialEvaluator(polys, 3)
+    whole = evaluator(pts)
+    covered = 0
+    for rows, values in evaluator.blocks(pts):
+        assert rows.start == covered and values.shape[1] <= EVAL_BLOCK
+        assert np.array_equal(values, whole[:, rows])
+        covered = rows.stop
+    assert covered == len(pts)
+
+
+def test_evaluator_checks_shapes():
+    poly = BiDegreePolynomial.monomial(3, (1, 0, 0), (0, 1, 0))
+    with pytest.raises(ShapeMismatchError):
+        PolynomialEvaluator([poly, BiDegreePolynomial.constant(4, 1)], 3)
+    with pytest.raises(ShapeMismatchError):
+        PolynomialEvaluator([poly], 3)(np.zeros((5, 4)))
+    with pytest.raises(ShapeMismatchError):
+        poly.evaluate_batch(np.zeros(3))
+
+
+def test_batch_evaluator_dispatch():
+    a = BiDegreePolynomial.monomial(3, (1, 0, 0), (1, 0, 0), 2.0)
+    b = BiDegreePolynomial.monomial(3, (2, 0, 0), (0, 0, 0))
+    pts = sphere_sample_batch(3, 20, RngStream(seed=10))
+    expected = a.evaluate_batch(pts) + b.evaluate_batch(pts)
+    assert np.allclose(batch_evaluator([a, b])(pts), expected, rtol=0, atol=1e-14)
+    assert np.array_equal(batch_evaluator(a)(pts), a.evaluate_batch(pts))
+    pointwise = batch_evaluator(lambda z: complex(z[0]))(pts)
+    assert np.array_equal(pointwise, pts[:, 0])
+    assert not batch_evaluator([])(pts).any()
+    with pytest.raises(ConfigurationError):
+        batch_evaluator(object())
 
 
 def _fd_laplacian(f, z, h=1e-3):
