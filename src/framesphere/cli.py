@@ -77,7 +77,6 @@ class RunConfig:
     samples: int = 20000
     tol: float = 1e-8
     max_bidegree: int = 4
-    workers: int = 1
     input: str = None
     output: str = None
     #: Names of the fields set by a flag or an environment variable.  A plain
@@ -96,8 +95,6 @@ class RunConfig:
             raise ConfigurationError(f"--tol must be positive, got {self.tol}")
         if self.max_bidegree < 0:
             raise ConfigurationError(f"--max-bidegree must be >= 0, got {self.max_bidegree}")
-        if self.workers < 1:
-            raise ConfigurationError(f"--workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -109,7 +106,6 @@ _FIELD_CASTS = {
     "samples": int,
     "tol": float,
     "max_bidegree": int,
-    "workers": int,
     "input": str,
     "output": str,
 }
@@ -158,7 +154,9 @@ def read_operator_json(path) -> OperatorMatrix:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     return OperatorMatrix.from_dict(data)
 
@@ -172,38 +170,40 @@ def write_operator_json(path, op: OperatorMatrix) -> None:
 def read_samples_csv(path):
     """Sample file: header re_1..re_n, im_1..im_n, f_re, f_im; one row per point."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ParseError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        n = (len(header) - 2) // 2
-        expected = (
-            [f"re_{k}" for k in range(1, n + 1)]
-            + [f"im_{k}" for k in range(1, n + 1)]
-            + ["f_re", "f_im"]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not valid CSV: {exc}") from None
+    if not rows or not rows[0]:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    n = (len(header) - 2) // 2
+    expected = (
+        [f"re_{k}" for k in range(1, n + 1)]
+        + [f"im_{k}" for k in range(1, n + 1)]
+        + ["f_re", "f_im"]
+    )
+    if n < 1 or len(header) != 2 * n + 2 or header != expected:
+        raise ParseError(
+            f"{path}: header must read re_1..re_n,im_1..im_n,f_re,f_im; got {','.join(header)}"
         )
-        if n < 1 or len(header) != 2 * n + 2 or header != expected:
-            raise ParseError(
-                f"{path}: header must read re_1..re_n,im_1..im_n,f_re,f_im; got {','.join(header)}"
-            )
-        points, values = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                nums = [float(x) for x in row]
-            except ValueError:
-                bad = next(x for x in row if not _is_float(x))
-                raise ParseError(f"{path} line {lineno}: field {bad!r} is not a number") from None
-            points.append([complex(nums[k], nums[n + k]) for k in range(n)])
-            values.append(complex(nums[2 * n], nums[2 * n + 1]))
+    points, values = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            nums = [float(x) for x in row]
+        except ValueError:
+            bad = next(x for x in row if not _is_float(x))
+            raise ParseError(f"{path} line {lineno}: field {bad!r} is not a number") from None
+        points.append([complex(nums[k], nums[n + k]) for k in range(n)])
+        values.append(complex(nums[2 * n], nums[2 * n + 1]))
     if not points:
         raise ParseError(f"{path}: no sample rows")
     return np.asarray(points, dtype=complex), np.asarray(values, dtype=complex)
@@ -519,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--input", default=None, help="operator .json or sample .csv")
         sub.add_argument("--output", default=None, help="write the report here instead of stdout")
-        sub.add_argument("--workers", type=int, default=None, help="Monte Carlo substreams (default 1)")
         sub.set_defaults(func=func)
     return parser
 

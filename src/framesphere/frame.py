@@ -23,7 +23,6 @@ from .errors import (
     NegativityWarning,
     NumericalError,
     ParseError,
-    SamplingFailureError,
     ShapeMismatchError,
     UnderdeterminedDataError,
     UnsupportedEvaluationError,
@@ -39,7 +38,7 @@ from .harmonics import (
 from .measure import (
     UNIT_TOL,
     RngStream,
-    _chunk_sizes,
+    _mc_chunks,
     _require_dimension,
     haar_sample_batch,
     mc_integrate_sphere,
@@ -59,7 +58,6 @@ GRAM_TOL = 1e-12
 REAL_TOL = 1e-10
 VALUE_GAP_TOL = 1e-6
 OPERATOR_GAP_TOL = 1e-8
-_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ class OperatorMatrix:
             n = int(data["n"])
             re = np.asarray(data["re"], dtype=float)
             im = np.asarray(data["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"operator record needs keys n, re, im: {exc}") from None
         if re.shape != (n, n) or im.shape != (n, n):
             raise ParseError(
@@ -371,32 +369,6 @@ def _sum_inner(probe: BiDegreePolynomial, parts):
     return total
 
 
-def _require_finite(vals, first: int) -> None:
-    """Reject non-finite values; ``first`` is the global index of vals[0]."""
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise SamplingFailureError(f"non-finite frame value at sample {first + bad}")
-
-
-def _moment_entry_sums(evaluate, n, count, rng, first):
-    s1 = np.zeros((n, n), dtype=complex)
-    s2 = np.zeros((n, n))
-    idx = np.arange(n)
-    done = 0
-    while done < count:
-        m = int(min(_CHUNK, count - done))
-        pts = sphere_sample_batch(n, m, rng)
-        vals = evaluate(pts)
-        _require_finite(vals, first + done)
-        # per-sample A-integrand: n(n+1) f z_k conj(z_l) - n f delta_kl
-        term = (n * (n + 1)) * vals[:, None, None] * np.einsum("sk,sl->skl", pts, np.conj(pts))
-        term[:, idx, idx] -= n * vals[:, None]
-        s1 += term.sum(axis=0)
-        s2 += (np.abs(term) ** 2).sum(axis=0)
-        done += m
-    return s1, s2
-
-
 def _fit_sample_set(f: FrameFunction) -> OperatorMatrix:
     n, m = f.n, f.points.shape[0]
     if m < n * n:
@@ -414,7 +386,7 @@ def _fit_sample_set(f: FrameFunction) -> OperatorMatrix:
     return OperatorMatrix(solution.reshape(n, n))
 
 
-def reconstruct_moment(f, n_samples=None, rng=None, *, workers=1, return_stderr=False):
+def reconstruct_moment(f, n_samples=None, rng=None, *, return_stderr=False):
     """Recover A with f(z) = <z|Az> from second moments of f on the sphere.
 
     The moment matrix M_kl = int f(z) z_k conj(z_l) dnu and the mean
@@ -457,20 +429,15 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, workers=1, return_stderr=
         raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if rng is None:
         raise ConfigurationError("Monte Carlo reconstruction needs an RngStream")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    evaluate = batch_evaluator(f)
     s1 = np.zeros((n, n), dtype=complex)
     s2 = np.zeros((n, n))
-    streams = [rng] if workers == 1 else [rng.child(w) for w in range(workers)]
-    first = 0  # global index of the share's first sample
-    for stream, share in zip(streams, _chunk_sizes(n_samples, len(streams))):
-        if share == 0:
-            continue
-        a, b = _moment_entry_sums(evaluate, n, share, stream, first)
-        s1 += a
-        s2 += b
-        first += share
+    idx = np.arange(n)
+    for pts, vals in _mc_chunks(f, n, n_samples, rng, sphere_sample_batch):
+        # per-sample A-integrand: n(n+1) f z_k conj(z_l) - n f delta_kl
+        term = (n * (n + 1)) * vals[:, None, None] * np.einsum("sk,sl->skl", pts, np.conj(pts))
+        term[:, idx, idx] -= n * vals[:, None]
+        s1 += term.sum(axis=0)
+        s2 += (np.abs(term) ** 2).sum(axis=0)
     mean = s1 / n_samples
     var = np.maximum(s2 / n_samples - np.abs(mean) ** 2, 0.0) * (n_samples / (n_samples - 1))
     stderr_entries = np.sqrt(var / n_samples)
@@ -485,7 +452,7 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, workers=1, return_stderr=
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_harmonic(f, n_samples=None, rng=None, *, workers=1) -> OperatorMatrix:
+def reconstruct_harmonic(f, n_samples=None, rng=None) -> OperatorMatrix:
     """Recover A through the decomposition f = c + f_(1,1) on the sphere.
 
     c is the sphere mean of f, and the coefficient of z_l conj(z_k) in the
@@ -508,7 +475,7 @@ def reconstruct_harmonic(f, n_samples=None, rng=None, *, workers=1) -> OperatorM
     else:
         if rng is None:
             raise ConfigurationError("Monte Carlo reconstruction needs an RngStream")
-        c = mc_integrate_sphere(f, n, n_samples, rng.child(0), workers).mean
+        c = mc_integrate_sphere(f, n, n_samples, rng.child(0)).mean
         f11 = project_basis(f, space, integration="mc", n_samples=n_samples, rng=rng.child(1))
 
     a0 = np.zeros((n, n), dtype=complex)
@@ -558,7 +525,7 @@ def _abs_sq(value):
     return abs(complex(value)) ** 2
 
 
-def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail=False):
+def frame_residual(f, j_max: int, *, n_samples=None, rng=None, detail=False):
     """L2 distance from f to its constant + (1,1) part, over p+q <= j_max.
 
     Sums the squared norms of every harmonic component other than (0,0) and
@@ -602,30 +569,17 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, workers=1, detail
         raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if rng is None:
         raise ConfigurationError("Monte Carlo residual needs an RngStream")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    evaluate = batch_evaluator(f)
     bases = [build_basis(n, j).basis for j in degrees]
     evaluator = PolynomialEvaluator([z_m for basis in bases for z_m in basis], n)
     s1 = np.zeros(evaluator.count, dtype=complex)
     s2 = np.zeros(evaluator.count)
-    streams = [rng] if workers == 1 else [rng.child(w) for w in range(workers)]
-    first = 0  # global index of the share's first sample
-    for stream, share in zip(streams, _chunk_sizes(n_samples, len(streams))):
-        done = 0
-        while done < share:
-            m = int(min(_CHUNK, share - done))
-            pts = sphere_sample_batch(n, m, stream)
-            vals = evaluate(pts)
-            _require_finite(vals, first + done)
-            # per basis function: sums of conj(Z_m) f and of |Z_m f|^2, one block at a time
-            for rows, basis_values in evaluator.blocks(pts):
-                w = vals[rows]
-                s1 += np.conj(basis_values @ np.conj(w))
-                # |Z_m|^2 from the interleaved real and imaginary parts
-                s2 += np.square(basis_values.view(np.float64)) @ np.repeat(np.abs(w) ** 2, 2)
-            done += m
-        first += share
+    for pts, vals in _mc_chunks(f, n, n_samples, rng, sphere_sample_batch):
+        # per basis function: sums of conj(Z_m) f and of |Z_m f|^2, one block at a time
+        for rows, basis_values in evaluator.blocks(pts):
+            w = vals[rows]
+            s1 += np.conj(basis_values @ np.conj(w))
+            # |Z_m|^2 from the interleaved real and imaginary parts
+            s2 += np.square(basis_values.view(np.float64)) @ np.repeat(np.abs(w) ** 2, 2)
 
     components = {}
     total = 0.0
@@ -821,28 +775,3 @@ def gleason_additivity_check(t: OperatorMatrix, n_trials: int, rng: RngStream, *
             mu_total += mu
         additivity_error = max(additivity_error, abs(mu_total - 1.0))
     return GleasonAdditivityResult(additivity_error, trace_match_error, negatives)
-
-
-# ---------------------------------------------------------------------------
-# report plumbing
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GleasonReport:
-    """Everything one verification run produces, ready for serialization."""
-
-    weight_estimates: list
-    max_deviation: float
-    reconstruction: OperatorMatrix
-    residual_l2: float
-    additivity_max_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "weight_estimates": [[w.real, w.imag] for w in self.weight_estimates],
-            "max_deviation": self.max_deviation,
-            "reconstruction": self.reconstruction.to_dict(),
-            "residual_l2": self.residual_l2,
-            "additivity_max_error": self.additivity_max_error,
-        }

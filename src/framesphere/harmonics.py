@@ -57,6 +57,7 @@ from .exact import GaussianRational, conj_scalar, is_exact
 from .measure import (
     MCEstimate,
     RngStream,
+    _mc_chunks,
     _mc_integrate,
     _require_dimension,
     exact_monomial_moment,
@@ -327,7 +328,7 @@ def _block_basis(n: int, monos, rows):
 _BASIS_CACHE: dict = {}
 
 
-def build_basis(n: int, j, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> HarmonicSubspace:
+def build_basis(n: int, j) -> HarmonicSubspace:
     """Construct an exact orthogonal basis of H^n_{(p,q)}.
 
     Computes the Laplacian kernel on P^{p,q} by exact row reduction and
@@ -338,14 +339,14 @@ def build_basis(n: int, j, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> Harmon
     cross-block projection coefficient is exactly zero: the blocked result is
     the very basis the unblocked computation gives, with the kernel vectors
     taken in global free-column order.  Raises ``ResourceGuardError`` when
-    dim P^{p,q} exceeds ``max_monomials``.  Results are cached per (n, p, q).
+    dim P^{p,q} exceeds ``DEFAULT_MAX_MONOMIALS``.  Results are cached per (n, p, q).
     """
     _require_dimension(n)
     p, q = _as_bidegree(j)
     ambient = _dim_poly_space(n, p) * _dim_poly_space(n, q)
-    if ambient > max_monomials:
+    if ambient > DEFAULT_MAX_MONOMIALS:
         raise ResourceGuardError(
-            f"dim P^({p},{q}) = {ambient} exceeds the monomial bound {max_monomials}"
+            f"dim P^({p},{q}) = {ambient} exceeds the monomial bound {DEFAULT_MAX_MONOMIALS}"
         )
     key = (n, p, q)
     if key in _BASIS_CACHE:
@@ -698,7 +699,6 @@ def project_basis(
     integration: str = "exact",
     n_samples: int | None = None,
     rng: RngStream | None = None,
-    workers: int = 1,
 ) -> BiDegreePolynomial:
     """Orthogonal projection of ``f`` onto the subspace, in the basis route.
 
@@ -731,11 +731,11 @@ def project_basis(
             raise ConfigurationError("Monte Carlo projection needs n_samples >= 2")
         if rng is None:
             raise ConfigurationError("Monte Carlo projection needs an RngStream")
-        pts = sphere_sample_batch(space.n, n_samples, rng)
-        values = batch_evaluator(f)(pts)
+        evaluator = PolynomialEvaluator(space.basis, space.n)
         sums = np.zeros(space.dim, dtype=complex)
-        for rows, basis_values in PolynomialEvaluator(space.basis, space.n).blocks(pts):
-            sums += np.conj(basis_values) @ values[rows]
+        for pts, values in _mc_chunks(f, space.n, n_samples, rng, sphere_sample_batch):
+            for rows, basis_values in evaluator.blocks(pts):
+                sums += np.conj(basis_values) @ values[rows]
         result = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
         for z_m, coeff in zip(space.basis, sums / n_samples):
             result = result + z_m * complex(coeff)
@@ -749,7 +749,6 @@ def project_character(
     u,
     n_samples: int,
     rng: RngStream,
-    workers: int = 1,
 ) -> MCEstimate:
     """Group-averaged projection evaluated at the point ``u``.
 
@@ -771,7 +770,7 @@ def project_character(
             pts = np.einsum("sji,j->si", np.conj(gs), u_coords)
             return dim * chi * evaluate(pts)
 
-    return _mc_integrate(_Integrand(), space.n, n_samples, rng, workers, haar_sample_batch)
+    return _mc_integrate(_Integrand(), space.n, n_samples, rng, haar_sample_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ from .errors import (
 
 #: Unit-norm / unitarity validation tolerance for constructed points and matrices.
 UNIT_TOL = 1e-12
+#: Samples drawn per chunk by every Monte Carlo route; a multiple of
+#: ``polynomials.EVAL_BLOCK``, so chunking leaves the evaluation blocks as they are.
+MC_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +45,8 @@ class RngStream:
 
     Two streams constructed with the same ``(seed, stream_id)`` produce
     bit-identical sample sequences.  ``child(k)`` derives an independent
-    stream deterministically; it is used to give each Monte Carlo worker its
-    own substream so that results do not depend on scheduling.
+    stream deterministically; callers give each Monte Carlo estimate of one
+    run its own child, so results do not depend on which others are computed.
     """
 
     seed: int
@@ -182,45 +185,44 @@ def sample_haar_unitary(n: int, rng: RngStream) -> UnitaryMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(values: np.ndarray, batch: np.ndarray) -> None:
-    finite = np.isfinite(values.real) & np.isfinite(values.imag)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise SamplingFailureError(
-            f"integrand returned non-finite value {values[i]!r} at sample {batch[i]!r}"
-        )
+def _mc_chunks(f, n: int, n_samples: int, rng: RngStream, sampler):
+    """Draw ``n_samples`` points from ``rng``, MC_CHUNK at a time, and evaluate ``f``.
 
-
-def _chunk_sizes(n_samples: int, workers: int) -> list[int]:
-    base, extra = divmod(n_samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _mc_integrate(f, n: int, n_samples: int, rng: RngStream, workers: int, sampler) -> MCEstimate:
-    if n_samples < 2:
-        raise ConfigurationError(f"n_samples must be >= 2, got {n_samples}")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    Yields ``(samples, values)`` per chunk.  numpy draws sequentially, so the
+    chunks together are exactly the points of one ``sampler(n, n_samples, rng)``
+    call.  Non-finite values raise ``SamplingFailureError`` naming the global
+    sample index.
+    """
     # imported here because polynomials imports this module
     from .polynomials import batch_evaluator
 
     evaluate = batch_evaluator(f)
-
-    # Each worker owns a deterministic substream; partial results are merged
-    # in worker order, so the estimate depends only on (seed, stream, workers).
-    total = 0
-    mean = 0.0 + 0.0j
-    m2 = 0.0
-    for w, size in enumerate(_chunk_sizes(n_samples, workers)):
-        if size == 0:
-            continue
-        batch = sampler(n, size, rng.child(w) if workers > 1 else rng)
-        values = evaluate(batch)
+    for first in range(0, n_samples, MC_CHUNK):
+        size = min(MC_CHUNK, n_samples - first)
+        samples = sampler(n, size, rng)
+        values = evaluate(samples)
         if values.shape != (size,):
             raise ShapeMismatchError(
                 f"integrand returned shape {values.shape}, expected ({size},)"
             )
-        _check_finite(values, batch)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise SamplingFailureError(
+                f"integrand returned non-finite value {values[i]!r} at sample {first + i}"
+            )
+        yield samples, values
+
+
+def _mc_integrate(f, n: int, n_samples: int, rng: RngStream, sampler) -> MCEstimate:
+    if n_samples < 2:
+        raise ConfigurationError(f"n_samples must be >= 2, got {n_samples}")
+    # chunk means and squared deviations, merged in draw order (Chan et al.)
+    total = 0
+    mean = 0.0 + 0.0j
+    m2 = 0.0
+    for _, values in _mc_chunks(f, n, n_samples, rng, sampler):
+        size = len(values)
         c_mean = complex(values.mean())
         c_m2 = float(np.sum(np.abs(values - c_mean) ** 2))
         if total == 0:
@@ -232,11 +234,11 @@ def _mc_integrate(f, n: int, n_samples: int, rng: RngStream, workers: int, sampl
             mean = mean + delta * size / new_total
             total = new_total
 
-    stderr = math.sqrt(m2 / (total - 1) / total) if total > 1 else 0.0
+    stderr = math.sqrt(m2 / (total - 1) / total)
     return MCEstimate(mean=mean, stderr=stderr, n_samples=total)
 
 
-def mc_integrate_sphere(f, n: int, n_samples: int, rng: RngStream, workers: int = 1) -> MCEstimate:
+def mc_integrate_sphere(f, n: int, n_samples: int, rng: RngStream) -> MCEstimate:
     """Estimate the integral of ``f`` over the uniform measure on S^{2n-1}.
 
     Parameters
@@ -251,16 +253,14 @@ def mc_integrate_sphere(f, n: int, n_samples: int, rng: RngStream, workers: int 
     n_samples : int
         Number of samples, >= 2.
     rng : RngStream
-        Source of randomness; identical streams give identical estimates.
-    workers : int
-        Number of deterministic accumulation chunks (recorded by callers that
-        persist estimates).
+        Source of randomness.  The samples are drawn from it MC_CHUNK at a
+        time, so the estimate depends only on the stream and ``n_samples``.
     """
     _require_dimension(n)
-    return _mc_integrate(f, n, n_samples, rng, workers, sphere_sample_batch)
+    return _mc_integrate(f, n, n_samples, rng, sphere_sample_batch)
 
 
-def mc_integrate_group(h, n: int, n_samples: int, rng: RngStream, workers: int = 1) -> MCEstimate:
+def mc_integrate_group(h, n: int, n_samples: int, rng: RngStream) -> MCEstimate:
     """Estimate the integral of ``h`` over Haar measure on the n x n unitaries.
 
     ``h`` is called with each sampled matrix of shape (n, n) (or a whole
@@ -268,7 +268,7 @@ def mc_integrate_group(h, n: int, n_samples: int, rng: RngStream, workers: int =
     """
     if n < 1:
         raise DimensionUnsupportedError("group integration needs n >= 1")
-    return _mc_integrate(h, n, n_samples, rng, workers, haar_sample_batch)
+    return _mc_integrate(h, n, n_samples, rng, haar_sample_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -362,10 +362,6 @@ def batch_evaluator(f):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(poly: BiDegreePolynomial, z) -> complex:
-    return poly.evaluate(z)
-
-
 def apply_laplacian(poly: BiDegreePolynomial) -> BiDegreePolynomial:
     """Euclidean Laplacian on R^{2n} in Wirtinger form.
 

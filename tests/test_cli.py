@@ -310,6 +310,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("framesphere ")
 
 
+def test_workers_flag_is_a_usage_error(tmp_path, capsys):
+    path = _operator_file(tmp_path, np.diag([1.0, 2.0, 3.0]))
+    assert main(["verify-frame", "--input", path, "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert main(["verify-frame", "--input", path, "--output", str(out)]) == 0
+    assert "workers" not in json.loads(out.read_text())["config"]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert "usage:" in capsys.readouterr().err
@@ -352,6 +361,49 @@ def test_bad_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["verify-frame", "--input", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("op.json", b'{"n": 1e400, "re": [], "im": []}'),  # json reads inf; int(inf) overflows
+        ("op.json", b"\xff\xfe"),
+        ("samples.csv", b"\xff\xfe"),
+        ("op.json", b"[" * 100_000),  # nested past the decoder's recursion limit
+        ("samples.csv", b"re_1,im_1,f_re,f_im\n" + b"1" * 200_000 + b",0,1,0\n"),  # over csv's field limit
+    ],
+    ids=["overflowing-n", "non-utf8-json", "non-utf8-csv", "deep-json", "long-csv-field"],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["verify-frame", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_random_input_files_exit_2(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    # lists of at most two entries: a well-formed matrix is at most 2x2, which n >= 3 refuses
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=2), max_leaves=8)
+    files = st.tuples(st.sampled_from(["in.json", "in.csv"]), st.binary(max_size=64)) | st.tuples(
+        st.just("in.json"),
+        st.fixed_dictionaries({"n": values, "re": values, "im": values}).map(
+            lambda record: json.dumps(record).encode()
+        ),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(files)
+    def check(file):
+        name, content = file
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["verify-frame", "--input", str(path)]) == 2
+        capsys.readouterr()
+
+    check()
 
 
 def test_dimension_mismatch_exits_2(tmp_path, capsys):

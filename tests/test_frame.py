@@ -15,7 +15,6 @@ from framesphere.exact import GaussianRational
 from framesphere.frame import (
     FrameFunction,
     FrameResidualReport,
-    GleasonReport,
     OperatorMatrix,
     OrthonormalBasis,
     basis_sum,
@@ -32,7 +31,7 @@ from framesphere.frame import (
     sample_component_fit,
 )
 from framesphere.harmonics import BiDegree, build_basis, project_basis
-from framesphere.measure import RngStream, sphere_sample_batch
+from framesphere.measure import MC_CHUNK, RngStream, mc_integrate_sphere, sphere_sample_batch
 from framesphere.polynomials import BiDegreePolynomial, inner_product
 
 
@@ -266,10 +265,10 @@ def test_reconstruct_moment_monte_carlo_within_stderr():
     assert frob <= 4 * se
 
 
-def test_reconstruct_moment_worker_split_is_deterministic():
+def test_reconstruct_moment_same_seed_is_deterministic():
     f = FrameFunction(operator=np.eye(3))
-    a1 = reconstruct_moment(f, n_samples=10_000, rng=RngStream(seed=6), workers=3)
-    a2 = reconstruct_moment(f, n_samples=10_000, rng=RngStream(seed=6), workers=3)
+    a1 = reconstruct_moment(f, n_samples=10_000, rng=RngStream(seed=6))
+    a2 = reconstruct_moment(f, n_samples=10_000, rng=RngStream(seed=6))
     assert np.array_equal(a1.entries, a2.entries)
 
 
@@ -541,15 +540,22 @@ class _NonFiniteAt:
         return vals
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_non_finite_value_reports_global_sample_index(workers):
-    index = (1 << 16) + 123  # in the second chunk, and in the second of two worker shares
-    n_samples = (1 << 17) + 7
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_non_finite_value_reports_global_sample_index(chunk):
+    # chunk 1 is a full chunk after the first; chunk 2 is the short tail of 7 samples
+    index = chunk * MC_CHUNK + 3
+    n_samples = 2 * MC_CHUNK + 7
     rng = RngStream(seed=1)
-    with pytest.raises(SamplingFailureError, match=f"at sample {index}$"):
-        frame_residual(_NonFiniteAt(index), 0, n_samples=n_samples, rng=rng, workers=workers)
-    with pytest.raises(SamplingFailureError, match=f"at sample {index}$"):
-        reconstruct_moment(_NonFiniteAt(index), n_samples, rng, workers=workers)
+    space = build_basis(3, (1, 1))
+    routes = [
+        lambda f: frame_residual(f, 0, n_samples=n_samples, rng=rng),
+        lambda f: reconstruct_moment(f, n_samples, rng),
+        lambda f: mc_integrate_sphere(f, 3, n_samples, rng),
+        lambda f: project_basis(f, space, integration="mc", n_samples=n_samples, rng=rng),
+    ]
+    for route in routes:
+        with pytest.raises(SamplingFailureError, match=f"at sample {index}$"):
+            route(_NonFiniteAt(index))
 
 
 def test_sample_component_fit_recovers_exact_norms():
@@ -645,16 +651,3 @@ def test_gleason_additivity_preconditions():
         gleason_additivity_check(OperatorMatrix(skew), 5, RngStream(seed=20))
     with pytest.raises(ConfigurationError):
         gleason_additivity_check(OperatorMatrix(np.eye(3)), 5, RngStream(seed=21))
-
-
-def test_gleason_report_round_trip():
-    report = GleasonReport(
-        weight_estimates=[1.0 + 0j, 1.0 + 0j],
-        max_deviation=1e-12,
-        reconstruction=OperatorMatrix(np.eye(3)),
-        residual_l2=0.0,
-        additivity_max_error=1e-15,
-    )
-    d = report.to_dict()
-    assert d["weight_estimates"] == [[1.0, 0.0], [1.0, 0.0]]
-    assert d["reconstruction"]["n"] == 3

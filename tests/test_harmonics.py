@@ -33,6 +33,7 @@ from framesphere.harmonics import (
     zonal_polynomial,
 )
 from framesphere.measure import (
+    MC_CHUNK,
     RngStream,
     exact_monomial_moment,
     haar_sample_batch,
@@ -40,7 +41,9 @@ from framesphere.measure import (
 )
 from framesphere.polynomials import (
     BiDegreePolynomial,
+    PolynomialEvaluator,
     apply_laplacian,
+    batch_evaluator,
     inner_product,
     norm_sq,
 )
@@ -198,8 +201,9 @@ def test_build_basis_normalised_view():
 
 
 def test_build_basis_resource_guard():
-    with pytest.raises(ResourceGuardError):
-        build_basis(3, (2, 2), max_monomials=4)
+    # dim P^(5,5) on C^8 is 792^2, refused before any work
+    with pytest.raises(ResourceGuardError, match="monomial bound"):
+        build_basis(8, (5, 5))
 
 
 def test_zonal_recurrence_matches_generating_function():
@@ -430,6 +434,23 @@ def test_project_basis_mc_agrees_with_exact():
     gap = approx - BiDegreePolynomial(n, 1, 1, {k: complex(c) for k, c in exact.terms.items()})
     worst = max(abs(complex(c)) for c in gap.terms.values())
     assert worst < 0.02
+
+
+def test_project_basis_mc_chunks_match_one_batch():
+    # chunked draws fold into the same sums as one draw of every point
+    n_samples = 2 * MC_CHUNK + 9
+    f = BiDegreePolynomial.monomial(3, (2, 0, 0), (2, 0, 0))
+    space = build_basis(3, (1, 1))
+    got = project_basis(f, space, integration="mc", n_samples=n_samples, rng=RngStream(seed=19))
+    pts = sphere_sample_batch(3, n_samples, RngStream(seed=19))
+    values = batch_evaluator(f)(pts)
+    sums = np.zeros(space.dim, dtype=complex)
+    for rows, basis_values in PolynomialEvaluator(space.basis, 3).blocks(pts):
+        sums += np.conj(basis_values) @ values[rows]
+    expect = BiDegreePolynomial(3, 1, 1, {})
+    for z_m, coeff in zip(space.basis, sums / n_samples):
+        expect = expect + z_m * complex(coeff)
+    assert got.terms == expect.terms
 
 
 def test_project_basis_mc_needs_rng_and_samples():

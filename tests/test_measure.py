@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -9,6 +11,7 @@ from framesphere.errors import (
     ShapeMismatchError,
 )
 from framesphere.measure import (
+    MC_CHUNK,
     MCEstimate,
     RngStream,
     SpherePoint,
@@ -164,15 +167,17 @@ def test_exact_monomial_moment_rejects_bad_indices():
         exact_monomial_moment((-1, 0, 0), (1, 0, 0), 3)
 
 
-def test_mc_integrate_worker_count_changes_stream_but_stays_deterministic():
+def test_mc_integrate_chunks_match_one_batch():
+    # three chunks merged in draw order give the statistics of one big draw
+    n_samples = 2 * MC_CHUNK + 5
     f = _Moment((1, 0, 0), (1, 0, 0))
-    one = mc_integrate_sphere(f, 3, 10_000, RngStream(seed=8), workers=1)
-    two = mc_integrate_sphere(f, 3, 10_000, RngStream(seed=8), workers=2)
-    two_again = mc_integrate_sphere(f, 3, 10_000, RngStream(seed=8), workers=2)
-    assert two.mean == two_again.mean and two.stderr == two_again.stderr
-    assert one.mean != two.mean  # different substream layout
-    assert abs(one.mean - 1 / 3) < 5 * one.stderr + 1e-12
-    assert abs(two.mean - 1 / 3) < 5 * two.stderr + 1e-12
+    est = mc_integrate_sphere(f, 3, n_samples, RngStream(seed=8))
+    values = f.evaluate_batch(sphere_sample_batch(3, n_samples, RngStream(seed=8)))
+    mean = complex(values.mean())
+    stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (n_samples - 1) / n_samples)
+    assert est.n_samples == n_samples
+    assert abs(est.mean - mean) <= 1e-15 * abs(mean)
+    assert abs(est.stderr - stderr) <= 1e-15 * stderr
 
 
 def test_mc_integrate_group_constant():
