@@ -38,7 +38,8 @@ from .harmonics import (
 from .measure import (
     UNIT_TOL,
     RngStream,
-    _mc_chunks,
+    _check_mc_arguments,
+    _mc_feature_means,
     _require_dimension,
     haar_sample_batch,
     mc_integrate_sphere,
@@ -48,9 +49,9 @@ from .polynomials import (
     BiDegreePolynomial,
     PolynomialEvaluator,
     _polynomial_parts,
+    _sum_inner,
     apply_laplacian,
     batch_evaluator,
-    inner_product,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -298,14 +299,6 @@ def _ambient_dimension(f) -> int:
     return int(n)
 
 
-def evaluate_frame(f, z) -> complex:
-    """Value of the frame function at a unit vector."""
-    if isinstance(f, FrameFunction):
-        return f.evaluate(z)
-    n = _ambient_dimension(f)
-    return complex(batch_evaluator(f)(_as_point(z, n)[None])[0])
-
-
 def basis_sum(f, basis) -> complex:
     """Sum of frame values over one orthonormal basis."""
     vectors = basis.vectors if isinstance(basis, OrthonormalBasis) else np.asarray(basis, dtype=complex)
@@ -361,12 +354,22 @@ def _unit_exponent(n: int, k: int) -> tuple:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def _sum_inner(probe: BiDegreePolynomial, parts):
-    total = None
-    for part in parts:
-        value = inner_product(probe, part)
-        total = value if total is None else total + value
-    return total
+def _moment_features(n: int) -> list:
+    """The n^2 features phi_kl, row-major in (k, l), with A_kl = <phi_kl, f>.
+
+    phi_kl(z) = <z|(n(n+1) E_kl - n delta_kl I) z>.  The fourth sphere moments
+    give M = (A + tr(A) I)/(n(n+1)) and s = tr(A)/n for M_kl = int f z_k
+    conj(z_l) and s = int f, so A = n(n+1) M - n s I; and since |z|^2 = 1 on
+    the sphere, s = <|z|^2, f> is a (1,1) inner product as well.
+    """
+
+    def form(k, l):
+        return [
+            [n * (n + 1) * (a == k and b == l) - n * (k == l and a == b) for b in range(n)]
+            for a in range(n)
+        ]
+
+    return [BiDegreePolynomial.from_quadratic_form(form(k, l)) for k in range(n) for l in range(n)]
 
 
 def _fit_sample_set(f: FrameFunction) -> OperatorMatrix:
@@ -392,11 +395,14 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, return_stderr=False):
     The moment matrix M_kl = int f(z) z_k conj(z_l) dnu and the mean
     s = int f dnu determine the operator through A = n(n+1) M - (n s) I,
     because the fourth-order sphere moments give M = (A + tr(A) I)/(n(n+1))
-    and s = tr(A)/n.  With ``n_samples`` unset the integrals are exact
-    quadrature (polynomial models only); with ``n_samples`` set they are
-    Monte Carlo averages, and ``return_stderr=True`` additionally returns
-    the estimated Frobenius standard error.  Sample-set models are instead
-    fit by least squares on the quadratic features.
+    and s = tr(A)/n.  Each entry is therefore one inner product
+    A_kl = <phi_kl, f> with the bidegree-(1,1) feature
+    phi_kl(z) = n(n+1) conj(z_k) z_l - n delta_kl |z|^2.  With ``n_samples``
+    unset the inner products are exact quadrature (polynomial models only);
+    with ``n_samples`` set they are Monte Carlo averages, and
+    ``return_stderr=True`` additionally returns the estimated Frobenius
+    standard error.  Sample-set models are instead fit by least squares on
+    the quadratic features.
     """
     n = _ambient_dimension(f)
     if isinstance(f, FrameFunction) and f.model == "samples":
@@ -412,38 +418,14 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, return_stderr=False):
             raise ConfigurationError(
                 "exact quadrature needs a polynomial model; pass n_samples for Monte Carlo"
             )
-        s = _sum_inner(BiDegreePolynomial.constant(n, Fraction(1)), parts)
-        entries = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            ek = _unit_exponent(n, k)
-            for l in range(n):
-                el = _unit_exponent(n, l)
-                m_kl = _sum_inner(BiDegreePolynomial.monomial(n, el, ek), parts)
-                a_kl = m_kl * (n * (n + 1))
-                if k == l:
-                    a_kl = a_kl - s * n
-                entries[k, l] = complex(a_kl)
-        return OperatorMatrix(entries)
+        entries = [complex(_sum_inner(phi, parts)) for phi in _moment_features(n)]
+        return OperatorMatrix(np.reshape(entries, (n, n)))
 
-    if not isinstance(n_samples, int) or n_samples < 2:
-        raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    if rng is None:
-        raise ConfigurationError("Monte Carlo reconstruction needs an RngStream")
-    s1 = np.zeros((n, n), dtype=complex)
-    s2 = np.zeros((n, n))
-    idx = np.arange(n)
-    for pts, vals in _mc_chunks(f, n, n_samples, rng, sphere_sample_batch):
-        # per-sample A-integrand: n(n+1) f z_k conj(z_l) - n f delta_kl
-        term = (n * (n + 1)) * vals[:, None, None] * np.einsum("sk,sl->skl", pts, np.conj(pts))
-        term[:, idx, idx] -= n * vals[:, None]
-        s1 += term.sum(axis=0)
-        s2 += (np.abs(term) ** 2).sum(axis=0)
-    mean = s1 / n_samples
-    var = np.maximum(s2 / n_samples - np.abs(mean) ** 2, 0.0) * (n_samples / (n_samples - 1))
-    stderr_entries = np.sqrt(var / n_samples)
-    op = OperatorMatrix(mean)
+    features = PolynomialEvaluator(_moment_features(n), n)
+    means, se_sq = _mc_feature_means(f, features, n, n_samples, rng)
+    op = OperatorMatrix(means.reshape(n, n))
     if return_stderr:
-        return op, float(np.sqrt(np.sum(stderr_entries**2)))
+        return op, float(np.sqrt(np.sum(se_sq)))
     return op
 
 
@@ -565,30 +547,16 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, detail=False):
         report = FrameResidualReport(math.sqrt(float(total)), total, None, components)
         return report if detail else report.norm
 
-    if not isinstance(n_samples, int) or n_samples < 2:
-        raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    if rng is None:
-        raise ConfigurationError("Monte Carlo residual needs an RngStream")
+    _check_mc_arguments(n_samples, rng)  # before the bases, which can take seconds to build
     bases = [build_basis(n, j).basis for j in degrees]
     evaluator = PolynomialEvaluator([z_m for basis in bases for z_m in basis], n)
-    s1 = np.zeros(evaluator.count, dtype=complex)
-    s2 = np.zeros(evaluator.count)
-    for pts, vals in _mc_chunks(f, n, n_samples, rng, sphere_sample_batch):
-        # per basis function: sums of conj(Z_m) f and of |Z_m f|^2, one block at a time
-        for rows, basis_values in evaluator.blocks(pts):
-            w = vals[rows]
-            s1 += np.conj(basis_values @ np.conj(w))
-            # |Z_m|^2 from the interleaved real and imaginary parts
-            s2 += np.square(basis_values.view(np.float64)) @ np.repeat(np.abs(w) ** 2, 2)
+    means, se_sqs = _mc_feature_means(f, evaluator, n, n_samples, rng)
 
     components = {}
     total = 0.0
     variance = 0.0
     split = np.cumsum([len(basis) for basis in bases])[:-1]
-    for j, c1, c2 in zip(degrees, np.split(s1, split), np.split(s2, split)):
-        mean = c1 / n_samples
-        var = np.maximum(c2 / n_samples - np.abs(mean) ** 2, 0.0) * (n_samples / (n_samples - 1))
-        se_sq = var / n_samples
+    for j, mean, se_sq in zip(degrees, np.split(means, split), np.split(se_sqs, split)):
         comp = float(np.sum(np.abs(mean) ** 2 - se_sq))
         components[j] = comp
         total += comp

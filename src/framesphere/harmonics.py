@@ -40,7 +40,6 @@ test suite requires the two tables to agree exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -57,17 +56,17 @@ from .exact import GaussianRational, conj_scalar, is_exact
 from .measure import (
     MCEstimate,
     RngStream,
-    _mc_chunks,
+    _mc_feature_means,
     _mc_integrate,
     _require_dimension,
     exact_monomial_moment,
     haar_sample_batch,
-    sphere_sample_batch,
 )
 from .polynomials import (
     BiDegreePolynomial,
     PolynomialEvaluator,
     _polynomial_parts,
+    _sum_inner,
     batch_evaluator,
     compose_with_linear,
     inner_product,
@@ -718,26 +717,15 @@ def project_basis(
         zero = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
         result = zero
         for v, r in zip(space.polys, space.norms_sq):
-            num = None
-            for part in parts:
-                val = inner_product(v, part)
-                num = val if num is None else num + val
-            coeff = num / r
+            coeff = _sum_inner(v, parts) / r
             if not (isinstance(coeff, complex) and coeff == 0):
                 result = result + v * coeff
         return result
     if integration == "mc":
-        if not n_samples or n_samples < 2:
-            raise ConfigurationError("Monte Carlo projection needs n_samples >= 2")
-        if rng is None:
-            raise ConfigurationError("Monte Carlo projection needs an RngStream")
         evaluator = PolynomialEvaluator(space.basis, space.n)
-        sums = np.zeros(space.dim, dtype=complex)
-        for pts, values in _mc_chunks(f, space.n, n_samples, rng, sphere_sample_batch):
-            for rows, basis_values in evaluator.blocks(pts):
-                sums += np.conj(basis_values) @ values[rows]
+        means, _ = _mc_feature_means(f, evaluator, space.n, n_samples, rng)
         result = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
-        for z_m, coeff in zip(space.basis, sums / n_samples):
+        for z_m, coeff in zip(space.basis, means):
             result = result + z_m * complex(coeff)
         return result
     raise ConfigurationError(f"unknown integration mode {integration!r}")
@@ -756,8 +744,6 @@ def project_character(
     Carlo; for f in L^2 this equals the basis-route projection evaluated at
     u.  Returns the estimate with its standard error.
     """
-    if n_samples < 2:
-        raise ConfigurationError("character projection needs n_samples >= 2")
     u_coords = np.asarray(getattr(u, "coords", u), dtype=complex)
     if u_coords.shape != (space.n,):
         raise ShapeMismatchError(f"point has shape {u_coords.shape}, expected ({space.n},)")
@@ -797,13 +783,3 @@ def subspace_from_dict(data: dict) -> HarmonicSubspace:
     if space.dim != int(data["dim"]):
         raise ShapeMismatchError("header dim disagrees with basis length")
     return space
-
-
-def write_character_table(path, samples) -> None:
-    """CSV of character samples: columns sample_index, re_chi, im_chi."""
-    samples = np.asarray(samples, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "re_chi", "im_chi"])
-        for i, v in enumerate(samples):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])

@@ -158,11 +158,6 @@ def sphere_sample_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
     return z
 
 
-def sample_sphere_point(n: int, rng: RngStream) -> SpherePoint:
-    """Draw one uniform point on the unit sphere of C^n."""
-    return SpherePoint(sphere_sample_batch(n, 1, rng)[0])
-
-
 def haar_sample_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
     """Draw ``count`` Haar-distributed unitaries; returns shape (count, n, n)."""
     if n < 1:
@@ -175,14 +170,21 @@ def haar_sample_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
     return q
 
 
-def sample_haar_unitary(n: int, rng: RngStream) -> UnitaryMatrix:
-    """Draw one Haar-distributed unitary on C^n."""
-    return UnitaryMatrix(haar_sample_batch(n, 1, rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo integration
 # ---------------------------------------------------------------------------
+
+
+def _check_mc_arguments(n_samples, rng) -> None:
+    """The one rule for every route's Monte Carlo arguments.
+
+    ``n_samples`` must be an integer (numpy integers included) >= 2, and an
+    ``rng`` must be given.
+    """
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if rng is None:
+        raise ConfigurationError("Monte Carlo integration needs an RngStream")
 
 
 def _mc_chunks(f, n: int, n_samples: int, rng: RngStream, sampler):
@@ -191,11 +193,12 @@ def _mc_chunks(f, n: int, n_samples: int, rng: RngStream, sampler):
     Yields ``(samples, values)`` per chunk.  numpy draws sequentially, so the
     chunks together are exactly the points of one ``sampler(n, n_samples, rng)``
     call.  Non-finite values raise ``SamplingFailureError`` naming the global
-    sample index.
+    sample index.  The arguments pass ``_check_mc_arguments`` first.
     """
     # imported here because polynomials imports this module
     from .polynomials import batch_evaluator
 
+    _check_mc_arguments(n_samples, rng)
     evaluate = batch_evaluator(f)
     for first in range(0, n_samples, MC_CHUNK):
         size = min(MC_CHUNK, n_samples - first)
@@ -214,9 +217,29 @@ def _mc_chunks(f, n: int, n_samples: int, rng: RngStream, sampler):
         yield samples, values
 
 
+def _mc_feature_means(f, features, n: int, n_samples: int, rng: RngStream):
+    """Monte Carlo means of conj(phi_m) * f over the sphere, per feature phi_m.
+
+    ``features`` is a ``PolynomialEvaluator`` of the phi_m.  Returns the means
+    and their squared standard errors (sample variance with ddof=1, real and
+    imaginary fluctuations combined, over ``n_samples``), both of shape
+    (features.count,).  This is the one fold of every sphere route that
+    projects f onto a list of polynomials.
+    """
+    s1 = np.zeros(features.count, dtype=complex)
+    s2 = np.zeros(features.count)
+    for samples, values in _mc_chunks(f, n, n_samples, rng, sphere_sample_batch):
+        for rows, feature_values in features.blocks(samples):
+            w = values[rows]
+            s1 += np.conj(feature_values @ np.conj(w))
+            # |phi_m|^2 from the interleaved real and imaginary parts
+            s2 += np.square(feature_values.view(np.float64)) @ np.repeat(np.abs(w) ** 2, 2)
+    means = s1 / n_samples
+    var = np.maximum(s2 / n_samples - np.abs(means) ** 2, 0.0) * (n_samples / (n_samples - 1))
+    return means, var / n_samples
+
+
 def _mc_integrate(f, n: int, n_samples: int, rng: RngStream, sampler) -> MCEstimate:
-    if n_samples < 2:
-        raise ConfigurationError(f"n_samples must be >= 2, got {n_samples}")
     # chunk means and squared deviations, merged in draw order (Chan et al.)
     total = 0
     mean = 0.0 + 0.0j

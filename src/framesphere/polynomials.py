@@ -482,6 +482,15 @@ def inner_product(a: BiDegreePolynomial, b: BiDegreePolynomial):
     return total
 
 
+def _sum_inner(a: BiDegreePolynomial, parts):
+    """<a, sum of parts>, accumulated part by part (exact when every input is)."""
+    total = None
+    for part in parts:
+        value = inner_product(a, part)
+        total = value if total is None else total + value
+    return total
+
+
 def norm_sq(a: BiDegreePolynomial):
     """Squared L2 norm; exact nonnegative rational in the exact regime."""
     v = inner_product(a, a)

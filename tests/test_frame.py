@@ -11,6 +11,7 @@ from framesphere.errors import (
     UnderdeterminedDataError,
     UnsupportedEvaluationError,
 )
+from framesphere import frame
 from framesphere.exact import GaussianRational
 from framesphere.frame import (
     FrameFunction,
@@ -20,7 +21,6 @@ from framesphere.frame import (
     basis_sum,
     basis_weight_sums,
     check_frame_property,
-    evaluate_frame,
     frame_residual,
     gleason_additivity_check,
     hermitian_check,
@@ -29,9 +29,16 @@ from framesphere.frame import (
     reconstruct_harmonic,
     reconstruct_moment,
     sample_component_fit,
+    _moment_features,
 )
-from framesphere.harmonics import BiDegree, build_basis, project_basis
-from framesphere.measure import MC_CHUNK, RngStream, mc_integrate_sphere, sphere_sample_batch
+from framesphere.harmonics import BiDegree, build_basis, project_basis, project_character
+from framesphere.measure import (
+    MC_CHUNK,
+    RngStream,
+    mc_integrate_group,
+    mc_integrate_sphere,
+    sphere_sample_batch,
+)
 from framesphere.polynomials import BiDegreePolynomial, inner_product
 
 
@@ -106,10 +113,10 @@ def test_frame_function_requires_exactly_one_model():
 
 def test_operator_model_evaluates_quadratic_form():
     f = FrameFunction(operator=np.diag([1.0, 2.0, 3.0]))
-    assert evaluate_frame(f, [1.0, 0.0, 0.0]) == pytest.approx(1.0)
-    assert evaluate_frame(f, [0.0, 1.0, 0.0]) == pytest.approx(2.0)
+    assert f.evaluate([1.0, 0.0, 0.0]) == pytest.approx(1.0)
+    assert f.evaluate([0.0, 1.0, 0.0]) == pytest.approx(2.0)
     v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    assert evaluate_frame(f, v) == pytest.approx(1.5)
+    assert f.evaluate(v) == pytest.approx(1.5)
 
 
 def test_evaluate_rejects_non_unit_points():
@@ -254,7 +261,46 @@ def test_reconstruct_moment_exact_rational_entries():
                 },
             )
             got = reconstruct_moment(poly)
-            assert np.max(np.abs(got.entries - a)) < 1e-12
+            assert np.array_equal(got.entries, a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_moment_features_recover_the_operator_exactly(n):
+    # <phi_kl, <z|Az>> = A_kl in exact arithmetic, for a non-Hermitian A
+    gen = np.random.default_rng(40 + n)
+
+    def rational():
+        return Fraction(int(gen.integers(-60, 60)), int(gen.integers(1, 30)))
+
+    a = [[GaussianRational(rational(), rational()) for _ in range(n)] for _ in range(n)]
+    f = BiDegreePolynomial.from_quadratic_form(a)
+    features = _moment_features(n)
+    assert len(features) == n * n
+    for m, phi in enumerate(features):
+        k, l = divmod(m, n)
+        assert (phi.p, phi.q) == (1, 1) and phi.is_exact
+        assert inner_product(phi, f) == a[k][l]
+
+
+def test_quadratic_forms_have_zero_residual_and_exact_moments():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    entries = st.tuples(rationals, rationals).map(lambda ri: GaussianRational(*ri))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        st.sampled_from([3, 4]).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    def check(a):
+        poly = BiDegreePolynomial.from_quadratic_form(a)
+        assert frame_residual(poly, 4, detail=True).norm_sq == 0
+        expected = np.array([[complex(c) for c in row] for row in a])
+        assert np.array_equal(reconstruct_moment(poly).entries, expected)
+
+    check()
 
 
 def test_reconstruct_moment_monte_carlo_within_stderr():
@@ -493,6 +539,35 @@ def test_monte_carlo_routes_match_the_term_loop(use_term_loop):
     ) <= 1e-12
 
 
+def _moment_einsum_fold(f, n_samples, rng):
+    """The moment route's former fold: the (samples, n, n) A-integrand, summed per chunk."""
+    n = f.n
+    s1 = np.zeros((n, n), dtype=complex)
+    s2 = np.zeros((n, n))
+    idx = np.arange(n)
+    for first in range(0, n_samples, MC_CHUNK):
+        pts = sphere_sample_batch(n, min(MC_CHUNK, n_samples - first), rng)
+        vals = f.evaluate_batch(pts)
+        # per-sample A-integrand: n(n+1) f z_k conj(z_l) - n f delta_kl
+        term = (n * (n + 1)) * vals[:, None, None] * np.einsum("sk,sl->skl", pts, np.conj(pts))
+        term[:, idx, idx] -= n * vals[:, None]
+        s1 += term.sum(axis=0)
+        s2 += (np.abs(term) ** 2).sum(axis=0)
+    mean = s1 / n_samples
+    var = np.maximum(s2 / n_samples - np.abs(mean) ** 2, 0.0) * (n_samples / (n_samples - 1))
+    return mean, float(np.sqrt(np.sum(var / n_samples)))
+
+
+def test_monte_carlo_moment_matches_the_einsum_fold():
+    # the feature fold differs only in summation order and in using |z|^2 for 1
+    f = _random_harmonic_model(np.random.default_rng(29))
+    count = 2 * MC_CHUNK + 77
+    op, stderr = reconstruct_moment(f, count, RngStream(seed=30), return_stderr=True)
+    mean, oracle_stderr = _moment_einsum_fold(f, count, RngStream(seed=30))
+    assert _relative_gap(op.entries, mean) <= 1e-13
+    assert _relative_gap(stderr, oracle_stderr) <= 1e-13
+
+
 def test_monte_carlo_residual_keeps_the_per_basis_estimator(term_loop):
     # the estimator written out one basis function at a time, on the same sample stream
     f = _random_harmonic_model(np.random.default_rng(27))
@@ -515,12 +590,47 @@ def test_monte_carlo_residual_keeps_the_per_basis_estimator(term_loop):
     assert report.stderr == pytest.approx(np.sqrt(variance), rel=1e-12)
 
 
-def test_frame_residual_argument_checks():
+def test_frame_residual_argument_checks(monkeypatch):
     poly = BiDegreePolynomial.monomial(3, (1, 0, 0), (1, 0, 0))
     with pytest.raises(ConfigurationError):
         frame_residual(poly, -1)
     with pytest.raises(ConfigurationError):
         frame_residual(poly, 4, n_samples=100)  # missing rng
+
+    # bad Monte Carlo arguments fail before any basis is built
+    def no_bases(*args):
+        raise AssertionError("a basis was built before the argument check")
+
+    monkeypatch.setattr(frame, "build_basis", no_bases)
+    with pytest.raises(ConfigurationError):
+        frame_residual(poly, 8, n_samples=1, rng=RngStream(seed=1))
+
+
+_DIAGONAL = FrameFunction(operator=np.diag([1.0, 2.0, 3.0]))
+_MC_ROUTES = {
+    "mc_integrate_sphere": lambda count, rng: mc_integrate_sphere(_DIAGONAL, 3, count, rng),
+    "mc_integrate_group": lambda count, rng: mc_integrate_group(lambda g: g[0, 0], 3, count, rng),
+    "frame_residual": lambda count, rng: frame_residual(_DIAGONAL, 2, n_samples=count, rng=rng),
+    "reconstruct_moment": lambda count, rng: reconstruct_moment(_DIAGONAL, count, rng),
+    "reconstruct_harmonic": lambda count, rng: reconstruct_harmonic(_DIAGONAL, count, rng),
+    "project_basis": lambda count, rng: project_basis(
+        _DIAGONAL, build_basis(3, (1, 1)), integration="mc", n_samples=count, rng=rng
+    ),
+    "project_character": lambda count, rng: project_character(
+        _DIAGONAL, build_basis(3, (1, 1)), [1.0, 0.0, 0.0], count, rng
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_MC_ROUTES))
+def test_monte_carlo_arguments_follow_one_rule(route):
+    call = _MC_ROUTES[route]
+    for bad in (1, 2.5):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            call(bad, RngStream(seed=1))
+    with pytest.raises(ConfigurationError, match="RngStream"):
+        call(4096, None)
+    call(np.int64(4096), RngStream(seed=1))
 
 
 class _NonFiniteAt:
@@ -591,8 +701,8 @@ def test_polarization_detects_equal_and_unequal():
     diff = polarization_uniqueness_check(a, b, 64)
     assert not diff
     assert diff.witness is not None
-    assert abs(evaluate_frame(FrameFunction(operator=a), diff.witness)
-               - evaluate_frame(FrameFunction(operator=b), diff.witness)) > 1e-6
+    assert abs(FrameFunction(operator=a).evaluate(diff.witness)
+               - FrameFunction(operator=b).evaluate(diff.witness)) > 1e-6
 
 
 def test_polarization_flags_subthreshold_operator_gap():

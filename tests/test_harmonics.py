@@ -25,7 +25,6 @@ from framesphere.harmonics import (
     representation_matrix,
     subspace_from_dict,
     subspace_to_dict,
-    write_character_table,
     zonal_frame_sum,
     zonal_from_generating_function,
     zonal_harmonic,
@@ -482,12 +481,3 @@ def test_subspace_round_trip():
     assert back.norms_sq == space.norms_sq
     for a, b in zip(back.polys, space.polys):
         assert a == b
-
-
-def test_character_table_file(tmp_path):
-    path = tmp_path / "chi.csv"
-    write_character_table(path, [1 + 2j, -0.5])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample_index,re_chi,im_chi"
-    assert lines[1] == "0,1.0,2.0"
-    assert lines[2] == "1,-0.5,-0.0" or lines[2] == "1,-0.5,0.0"

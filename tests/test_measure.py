@@ -20,8 +20,6 @@ from framesphere.measure import (
     haar_sample_batch,
     mc_integrate_group,
     mc_integrate_sphere,
-    sample_haar_unitary,
-    sample_sphere_point,
     sphere_sample_batch,
 )
 
@@ -82,22 +80,11 @@ def test_sphere_sampler_second_moment():
     assert abs(value - 1 / n) < 4 * np.std(np.abs(pts[:, 0]) ** 2) / np.sqrt(len(pts))
 
 
-def test_sample_sphere_point_wraps_batch():
-    p = sample_sphere_point(3, RngStream(seed=3))
-    assert isinstance(p, SpherePoint)
-
-
 def test_haar_samples_are_unitary():
     gs = haar_sample_batch(3, 64, RngStream(seed=4))
     eye = np.eye(3)
     for g in gs:
         assert np.max(np.abs(np.conj(g.T) @ g - eye)) < 1e-12
-
-
-def test_haar_sample_unitary_wrapper():
-    u = sample_haar_unitary(4, RngStream(seed=5))
-    assert isinstance(u, UnitaryMatrix)
-    assert u.n == 4
 
 
 def test_haar_first_column_matches_sphere_statistics():
