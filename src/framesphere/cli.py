@@ -1,9 +1,10 @@
 """Command-line front end for decomposition, reconstruction, and verification.
 
-Every command reads its settings from flags, falling back to environment
-variables with the FRAMESPHERE_ prefix (FRAMESPHERE_N, FRAMESPHERE_SEED, ...)
-and then to built-in defaults; flags always win.  Runs are deterministic:
-identical configurations produce byte-identical output files.
+Each command accepts only the settings it reads, as listed in _COMMANDS
+(``framesphere COMMAND --help`` shows them).  An unset flag falls back to its
+environment variable (FRAMESPHERE_N, FRAMESPHERE_SEED, ...), then to its
+default; a command reads the variables of its own settings only.  Runs are
+deterministic: identical configurations produce byte-identical output files.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or parse
 error, 3 a resource guard refused the computation.
@@ -15,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -66,74 +66,40 @@ NORM_FLOOR = 1e-12  # components below this are not worth a table row
 # configuration
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    command: str
-    n: int = 3
-    seed: int = 0
-    samples: int = 20000
-    tol: float = 1e-8
-    max_bidegree: int = 4
-    input: str = None
-    output: str = None
-    #: Names of the fields set by a flag or an environment variable.  A plain
-    #: class attribute, not a dataclass field, so to_dict() and the report's
-    #: config section leave it out.
-    configured = frozenset()
-
-    def validate(self):
-        if self.n < 3:
-            raise ConfigurationError(f"--n must be >= 3, got {self.n}")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ConfigurationError(f"--seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.samples < 2:
-            raise ConfigurationError(f"--samples must be >= 2, got {self.samples}")
-        if not self.tol > 0:
-            raise ConfigurationError(f"--tol must be positive, got {self.tol}")
-        if self.max_bidegree < 0:
-            raise ConfigurationError(f"--max-bidegree must be >= 0, got {self.max_bidegree}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-_FIELD_CASTS = {
-    "n": int,
-    "seed": int,
-    "samples": int,
-    "tol": float,
-    "max_bidegree": int,
-    "input": str,
-    "output": str,
+#: Every setting, once: name -> (type, default, help, check).  A command
+#: accepts the flag --name and reads FRAMESPHERE_NAME only when its _COMMANDS
+#: entry lists the setting; a set value must pass ``check``.
+_SETTINGS = {
+    "n": (int, 3, "ambient dimension, >= 3", lambda v: v >= 3),
+    "seed": (int, 0, "random seed, 0 to 2**64 - 1", lambda v: 0 <= v <= 2**64 - 1),
+    "samples": (int, 20000, "Monte Carlo sample count, >= 2", lambda v: v >= 2),
+    "tol": (float, 1e-8, "verification tolerance, > 0", lambda v: v > 0),
+    "max_bidegree": (int, 4, "largest p+q considered, >= 0", lambda v: v >= 0),
+    "input": (str, None, "operator .json, or for verify-frame and decompose a sample .csv", None),
+    "output": (str, None, "write the report here instead of stdout", None),
 }
 
 
-def _env_value(field, cast):
-    name = ENV_PREFIX + field.upper()
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
+def _resolve_config(args, settings, defaults) -> argparse.Namespace:
+    """Fill each unset flag from its FRAMESPHERE_ variable, then its default."""
+    for name in settings:
+        cast, default, help_text, check = _SETTINGS[name]
+        value = getattr(args, name)
+        if value is None:
+            var = ENV_PREFIX + name.upper()
+            raw = os.environ.get(var, "")
+            try:
+                value = cast(raw) if raw else defaults.get(name, default)
+            except ValueError:
+                raise ConfigurationError(f"{var}={raw!r} is not a valid {cast.__name__}") from None
+        if value is not None and check is not None and not check(value):
+            raise ConfigurationError(f"--{_flag(name)} {value} is out of range: {help_text}")
+        setattr(args, name, value)
+    return args
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    configured = set()
-    for field, cast in _FIELD_CASTS.items():
-        flag = getattr(args, field, None)
-        value = flag if flag is not None else _env_value(field, cast)
-        if value is not None:
-            setattr(cfg, field, value)
-            configured.add(field)
-    cfg.configured = frozenset(configured)
-    cfg.validate()
-    return cfg
+def _flag(name) -> str:
+    return name.replace("_", "-")
 
 
 def _require_input(cfg) -> str:
@@ -246,7 +212,7 @@ def _load_frame_input(cfg) -> FrameFunction:
         f = FrameFunction(samples=(points, values))
     else:
         raise ParseError(f"{path}: expected a .json operator or a .csv sample file")
-    if f.n != cfg.n and "n" in cfg.configured:
+    if cfg.n is not None and f.n != cfg.n:
         raise ConfigurationError(f"--n {cfg.n} disagrees with the input file (n={f.n})")
     return f
 
@@ -271,11 +237,8 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _config_section(cfg, n=None) -> dict:
-    data = cfg.to_dict()
-    if n is not None:
-        data["n"] = n
-    return data
+def _config_section(cfg, n) -> dict:
+    return dict(vars(cfg), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +385,7 @@ def cmd_character_check(cfg) -> int:
     for j, k in combinations_with_replacement(degrees, 2):
         product = characters[j] * np.conj(characters[k])
         mean = complex(np.mean(product))
-        stderr = float(np.std(product, ddof=1) / np.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
+        stderr = float(np.std(product, ddof=1) / np.sqrt(cfg.samples))
         expected = 1.0 if j == k else 0.0
         ok = abs(mean - expected) <= 4 * stderr if stderr > 0 else abs(mean - expected) == 0
         all_ok = all_ok and ok
@@ -488,12 +451,20 @@ def cmd_gleason_demo(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: command -> (function, help, the settings it reads, defaults that replace
+#: those of _SETTINGS).  Where the input fixes n, --n has no default, and a set
+#: --n must agree with the input.
 _COMMANDS = {
-    "verify-frame": (cmd_verify_frame, "check the constant-sum property and reconstruct the operator"),
-    "decompose": (cmd_decompose, "table of harmonic component norms"),
-    "zonal-table": (cmd_zonal_table, "exact zonal polynomial values and the selection rule"),
-    "character-check": (cmd_character_check, "Monte Carlo Schur orthogonality statistics"),
-    "gleason-demo": (cmd_gleason_demo, "projector measures of a unit-trace operator"),
+    "verify-frame": (cmd_verify_frame, "check the constant-sum property and reconstruct the operator",
+                     ("n", "seed", "tol", "max_bidegree", "input", "output"), {"n": None}),
+    "decompose": (cmd_decompose, "table of harmonic component norms",
+                  ("n", "max_bidegree", "input", "output"), {"n": None}),
+    "zonal-table": (cmd_zonal_table, "exact zonal polynomial values and the selection rule",
+                    ("n", "max_bidegree", "output"), {}),
+    "character-check": (cmd_character_check, "Monte Carlo Schur orthogonality statistics",
+                        ("n", "seed", "samples", "max_bidegree", "output"), {}),
+    "gleason-demo": (cmd_gleason_demo, "projector measures of a unit-trace operator",
+                     ("seed", "tol", "input", "output"), {}),
 }
 
 
@@ -504,22 +475,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"framesphere {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--n", type=int, default=None, help="ambient dimension (>= 3; default 3)")
-        sub.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-        sub.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count (default 20000)")
-        sub.add_argument("--tol", type=float, default=None, help="verification tolerance (default 1e-8)")
-        sub.add_argument(
-            "--max-bidegree",
-            dest="max_bidegree",
-            type=int,
-            default=None,
-            help="largest p+q considered (default 4)",
-        )
-        sub.add_argument("--input", default=None, help="operator .json or sample .csv")
-        sub.add_argument("--output", default=None, help="write the report here instead of stdout")
-        sub.set_defaults(func=func)
+    for command, (_func, help_text, settings, defaults) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for name in settings:
+            cast, default, setting_help, _check = _SETTINGS[name]
+            default = defaults.get(name, default)
+            if default is not None:
+                setting_help += f" (default {default})"
+            sub.add_argument("--" + _flag(name), dest=name, type=cast, help=setting_help)
     return parser
 
 
@@ -530,8 +493,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _resolve_config(args)
-        return args.func(cfg)
+        func, _help, settings, defaults = _COMMANDS[args.command]
+        return func(_resolve_config(args, settings, defaults))
     except (
         ParseError,
         ConfigurationError,

@@ -32,10 +32,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -129,10 +125,3 @@ def conj_scalar(value):
         return value
     return value.conjugate() if isinstance(value, complex) else value
 
-
-def as_gaussian_rational(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if is_exact(value):
-        return GaussianRational(value)
-    raise TypeError(f"not an exact scalar: {value!r}")

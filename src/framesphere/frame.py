@@ -208,7 +208,7 @@ class FrameFunction:
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ShapeMismatchError(f"expected points of shape (m, {self.n}), got {pts.shape}")
         if self.model == "operator":
-            return np.einsum("sk,kl,sl->s", np.conj(pts), self.operator.entries, pts)
+            return _quadratic_form(self.operator.entries, pts)
         if self.model == "harmonic":
             return PolynomialEvaluator(self.components.values(), self.n)(pts).sum(axis=0)
         raise UnsupportedEvaluationError(
@@ -289,6 +289,11 @@ def _as_point(z, n: int) -> np.ndarray:
     if abs(norm - 1.0) > UNIT_TOL:
         raise ShapeMismatchError(f"point has norm {norm!r}, out of tolerance {UNIT_TOL}")
     return coords
+
+
+def _quadratic_form(a, pts) -> np.ndarray:
+    """<z|A z> for each row z of ``pts``."""
+    return np.einsum("sk,sk->s", np.conj(pts), pts @ a.T)
 
 
 def _ambient_dimension(f) -> int:
@@ -641,7 +646,7 @@ def polarization_uniqueness_check(a: OperatorMatrix, b: OperatorMatrix, n_points
         rng = RngStream(seed=0, stream_id=101)
     diff = a.entries - b.entries
     pts = sphere_sample_batch(a.n, n_points, rng)
-    gaps = np.abs(np.einsum("sk,kl,sl->s", np.conj(pts), diff, pts))
+    gaps = np.abs(_quadratic_form(diff, pts))
     max_gap = float(np.max(gaps))
     operator_gap = float(np.max(np.abs(diff)))
     if max_gap > VALUE_GAP_TOL:
@@ -738,7 +743,7 @@ def gleason_additivity_check(t: OperatorMatrix, n_trials: int, rng: RngStream, *
             vecs = basis.vectors[group]
             projector = np.einsum("gk,gl->kl", vecs, np.conj(vecs))
             mu = complex(np.einsum("kl,lk->", t.entries, projector))
-            frame_sum = complex(np.sum(np.einsum("gk,kl,gl->g", np.conj(vecs), t.entries, vecs)))
+            frame_sum = complex(np.sum(_quadratic_form(t.entries, vecs)))
             trace_match_error = max(trace_match_error, abs(mu - frame_sum))
             mu_total += mu
         additivity_error = max(additivity_error, abs(mu_total - 1.0))

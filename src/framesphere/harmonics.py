@@ -70,8 +70,6 @@ from .polynomials import (
     batch_evaluator,
     compose_with_linear,
     inner_product,
-    poly_from_records,
-    poly_to_records,
 )
 
 #: Refuse to build bases whose ambient monomial space exceeds this size.
@@ -757,29 +755,3 @@ def project_character(
             return dim * chi * evaluate(pts)
 
     return _mc_integrate(_Integrand(), space.n, n_samples, rng, haar_sample_batch)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def subspace_to_dict(space: HarmonicSubspace) -> dict:
-    """Serializable form: header {n, p, q, dim} plus the exact basis."""
-    return {
-        "n": space.n,
-        "p": space.j.p,
-        "q": space.j.q,
-        "dim": space.dim,
-        "norms_sq": [str(r) for r in space.norms_sq],
-        "basis": [poly_to_records(poly) for poly in space.polys],
-    }
-
-
-def subspace_from_dict(data: dict) -> HarmonicSubspace:
-    polys = [poly_from_records(rec) for rec in data["basis"]]
-    norms = [Fraction(s) for s in data["norms_sq"]]
-    space = HarmonicSubspace(int(data["n"]), (int(data["p"]), int(data["q"])), polys, norms)
-    if space.dim != int(data["dim"]):
-        raise ShapeMismatchError("header dim disagrees with basis length")
-    return space

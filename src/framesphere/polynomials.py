@@ -49,14 +49,6 @@ def _as_exponents(t, n: int, name: str) -> tuple[int, ...]:
     return t
 
 
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return not c
-    if is_exact(c):
-        return c == 0
-    return c == 0
-
-
 class BiDegreePolynomial:
     """Sparse polynomial of fixed bidegree (p, q) on C^n."""
 
@@ -78,7 +70,7 @@ class BiDegreePolynomial:
                 raise ShapeMismatchError(
                     f"term {(alpha, beta)} violates bidegree ({p}, {q})"
                 )
-            if not _coeff_is_zero(c):
+            if c != 0:
                 clean[(alpha, beta)] = c
         self.terms = clean
 
@@ -113,7 +105,7 @@ class BiDegreePolynomial:
                 c = rows[k][l]
                 if not exact:
                     c = complex(c)
-                if _coeff_is_zero(c):
+                if c == 0:
                     continue
                 alpha = tuple(1 if i == l else 0 for i in range(n))
                 beta = tuple(1 if i == k else 0 for i in range(n))
@@ -424,7 +416,7 @@ def compose_with_linear(poly: BiDegreePolynomial, g, inverse: bool = True) -> Bi
             c = rows[k][j]
             if conjugated:
                 c = conj_scalar(c)
-            if not _coeff_is_zero(c):
+            if c != 0:
                 ek = tuple(1 if i == j else 0 for i in range(n))
                 out[ek] = c
         return out

@@ -337,8 +337,115 @@ def test_env_fallback_and_flag_precedence(monkeypatch, capsys):
 
 def test_invalid_env_value_is_reported(monkeypatch, capsys):
     monkeypatch.setenv("FRAMESPHERE_SEED", "not-a-number")
-    assert main(["zonal-table"]) == 2
+    assert main(["character-check", "--samples", "200", "--max-bidegree", "1"]) == 2
     assert "FRAMESPHERE_SEED" in capsys.readouterr().err
+
+
+_SETTINGS = ("n", "seed", "samples", "tol", "max_bidegree", "input", "output")
+
+# command -> the settings of a quick run; {name} is a file of the setting_files fixture
+_QUICK_RUNS = {
+    "verify-frame": {"input": "{op}", "max_bidegree": "2"},
+    "decompose": {"input": "{quartic}", "max_bidegree": "2"},
+    "zonal-table": {"max_bidegree": "1"},
+    "character-check": {"samples": "200", "max_bidegree": "1"},
+    "gleason-demo": {"input": "{op}"},
+}
+
+# (command, setting) for each setting but --output that the command reads ->
+# (other settings of the run, a new value, and None when the new value must
+# change the report, or the error it must exit 2 with)
+_SETTING_CHANGES = {
+    ("verify-frame", "n"): ({}, "4", "disagrees with the input"),
+    ("verify-frame", "seed"): ({}, "1", None),
+    ("verify-frame", "tol"): ({}, "1e-6", None),
+    ("verify-frame", "max_bidegree"): ({"input": "{quartic}"}, "4", None),
+    ("verify-frame", "input"): ({}, "{other}", None),
+    ("decompose", "n"): ({}, "4", "disagrees with the input"),
+    ("decompose", "max_bidegree"): ({}, "4", None),
+    ("decompose", "input"): ({}, "{op}", None),
+    ("zonal-table", "n"): ({}, "4", None),
+    ("zonal-table", "max_bidegree"): ({}, "2", None),
+    ("character-check", "n"): ({}, "4", None),
+    ("character-check", "seed"): ({}, "1", None),
+    ("character-check", "samples"): ({}, "300", None),
+    ("character-check", "max_bidegree"): ({}, "2", None),
+    ("gleason-demo", "seed"): ({}, "1", None),
+    ("gleason-demo", "tol"): ({}, "1e-6", None),
+    ("gleason-demo", "input"): ({}, "{other}", None),
+}
+# a valid value of each setting, so that a run can fail only for not reading it
+_VALID = {"n": "3", "seed": "1", "samples": "300", "tol": "1e-6", "max_bidegree": "2", "input": "{op}"}
+
+
+@pytest.fixture
+def setting_files(tmp_path):
+    return {
+        "op": _operator_file(tmp_path, np.diag([1.0, 2.0, 3.0])),
+        "other": _operator_file(tmp_path, np.diag([0.5, 0.25, 0.25]), "other.json"),
+        "quartic": _quartic_samples_file(tmp_path),
+    }
+
+
+def _argv(command, settings, files):
+    argv = [command]
+    for name, value in settings.items():
+        argv += ["--" + name.replace("_", "-"), value.format(**files)]
+    return argv
+
+
+def _without_config(text):
+    """A JSON report without its config section, which echoes the settings."""
+    if not text.startswith("{"):
+        return text
+    report = json.loads(text)
+    del report["config"]
+    return report
+
+
+def _report(command, settings, files, capsys):
+    """Exit code, stdout without a JSON report's config section, and stderr of one run."""
+    code = main(_argv(command, settings, files))
+    captured = capsys.readouterr()
+    return code, _without_config(captured.out), captured.err
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [(command, setting) for command in _QUICK_RUNS for setting in _SETTINGS],
+    ids=lambda value: value.replace("_", "-"),
+)
+def test_each_command_accepts_only_the_settings_it_reads(
+    command, setting, setting_files, tmp_path, monkeypatch, capsys
+):
+    var = "FRAMESPHERE_" + setting.upper()
+    quick = _QUICK_RUNS[command]
+    if setting == "output":  # every command reads it
+        code, out, err = _report(command, quick, setting_files, capsys)
+        path = tmp_path / "report"
+        assert _report(command, {**quick, "output": str(path)}, setting_files, capsys) == (code, "", err)
+        assert _without_config(path.read_text()) == out
+        monkeypatch.setenv(var, str(tmp_path / "from-env"))
+        assert _report(command, quick, setting_files, capsys) == (code, "", err)
+        assert _without_config((tmp_path / "from-env").read_text()) == out
+        return
+    if (command, setting) not in _SETTING_CHANGES:
+        base = _report(command, quick, setting_files, capsys)
+        assert main(_argv(command, {**quick, setting: _VALID[setting]}, setting_files)) == 2
+        assert "unrecognized arguments: --" + setting.replace("_", "-") in capsys.readouterr().err
+        monkeypatch.setenv(var, "junk")  # an unread variable is never parsed
+        assert _report(command, quick, setting_files, capsys) == base
+        return
+    others, value, expected_error = _SETTING_CHANGES[command, setting]
+    run = {**quick, **others}
+    changed = _report(command, {**run, setting: value}, setting_files, capsys)
+    if expected_error is None:
+        assert changed[0] in (0, 1) and changed != _report(command, run, setting_files, capsys)
+    else:
+        assert changed[0] == 2 and expected_error in changed[2]
+    run.pop(setting, None)
+    monkeypatch.setenv(var, value.format(**setting_files))  # the variable acts as the flag
+    assert _report(command, run, setting_files, capsys) == changed
 
 
 @pytest.mark.parametrize(

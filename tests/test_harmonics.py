@@ -23,8 +23,6 @@ from framesphere.harmonics import (
     project_character,
     reachable_bidegrees,
     representation_matrix,
-    subspace_from_dict,
-    subspace_to_dict,
     zonal_frame_sum,
     zonal_from_generating_function,
     zonal_harmonic,
@@ -183,7 +181,6 @@ def test_build_basis_equals_dense_oracle(n, j, cold_basis_cache):
     assert [list(v.terms.items()) for v in space.polys] == [
         list(v.terms.items()) for v in oracle.polys
     ]
-    assert subspace_to_dict(space) == subspace_to_dict(oracle)
 
 
 @pytest.mark.parametrize("n, j", [(3, (3, 2)), (4, (2, 2)), (5, (2, 1))])
@@ -472,12 +469,3 @@ def test_project_character_agrees_with_basis_route():
     est = project_character(f, space, u, 100_000, RngStream(seed=21))
     expect = complex(exact.evaluate(u))
     assert abs(est.mean - expect) < 4 * est.stderr
-
-
-def test_subspace_round_trip():
-    space = build_basis(3, (2, 1))
-    back = subspace_from_dict(subspace_to_dict(space))
-    assert back.n == space.n and back.j == space.j and back.dim == space.dim
-    assert back.norms_sq == space.norms_sq
-    for a, b in zip(back.polys, space.polys):
-        assert a == b
