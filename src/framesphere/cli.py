@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from itertools import combinations_with_replacement
@@ -35,27 +36,25 @@ from .frame import (
     HERMITIAN_TOL,
     FrameFunction,
     OperatorMatrix,
+    _exact_component_norms,
     basis_weight_sums,
+    fit_samples,
     frame_residual,
     gleason_additivity_check,
     hermitian_check,
     random_orthonormal_basis,
     reconstruct_harmonic,
     reconstruct_moment,
-    sample_component_fit,
 )
 from .harmonics import (
     bidegrees_up_to,
     build_basis,
     character_batch,
     dimension,
-    project_basis,
-    reachable_bidegrees,
     zonal_frame_sum,
     zonal_polynomial,
 )
 from .measure import RngStream, haar_sample_batch
-from .polynomials import norm_sq
 
 ENV_PREFIX = "FRAMESPHERE_"
 N_BASES = 100  # orthonormal bases drawn for the constant-sum check
@@ -205,16 +204,19 @@ def write_samples_csv(path, points, values) -> None:
 def _load_frame_input(cfg) -> FrameFunction:
     path = _require_input(cfg)
     if path.endswith(".json"):
-        op = read_operator_json(path)
-        f = FrameFunction(operator=op)
-    elif path.endswith(".csv"):
+        f = FrameFunction(operator=read_operator_json(path))
+        _check_input_n(cfg, f.n)
+        return f
+    if path.endswith(".csv"):
         points, values = read_samples_csv(path)
-        f = FrameFunction(samples=(points, values))
-    else:
-        raise ParseError(f"{path}: expected a .json operator or a .csv sample file")
-    if cfg.n is not None and f.n != cfg.n:
-        raise ConfigurationError(f"--n {cfg.n} disagrees with the input file (n={f.n})")
-    return f
+        _check_input_n(cfg, points.shape[1])  # before the fit, whose errors assume the file's n
+        return fit_samples(points, values, cfg.max_bidegree)
+    raise ParseError(f"{path}: expected a .json operator or a .csv sample file")
+
+
+def _check_input_n(cfg, n) -> None:
+    if cfg.n is not None and n != cfg.n:
+        raise ConfigurationError(f"--n {cfg.n} disagrees with the input file (n={n})")
 
 
 def _emit(cfg, text) -> None:
@@ -250,7 +252,6 @@ def cmd_verify_frame(cfg) -> int:
     """Constant-sum check, residual, two-route reconstruction, symmetry."""
     f = _load_frame_input(cfg)
     rng = RngStream(cfg.seed)
-    evaluatable = f.model != "samples"
 
     reconstruction = reconstruct_moment(f)
     # float rounding grows with the operator's entries, so the weight and
@@ -258,31 +259,15 @@ def cmd_verify_frame(cfg) -> int:
     scale = max(1.0, float(np.max(np.abs(reconstruction.entries))))
     weight_tol = cfg.tol * scale
     cross_tol = 10 * HERMITIAN_TOL * scale
-    if evaluatable:
-        sums = basis_weight_sums(f, N_BASES, rng.child(0))
-        weight = complex(np.mean(sums))
-        max_dev = float(np.max(np.abs(sums - weight)))
-        weight_ok = max_dev <= weight_tol
-        residual = frame_residual(f, cfg.max_bidegree, detail=True)
-        components = {j: float(v) for j, v in residual.components.items()}
-        residual_norm = residual.norm
-        cross = reconstruct_harmonic(f)
-        cross_gap = float(np.max(np.abs(reconstruction.entries - cross.entries)))
-        cross_ok = cross_gap <= cross_tol
-    else:
-        # scattered data: the weight is only reachable through the fitted form
-        weight = reconstruction.trace()
-        sums = [weight]
-        max_dev = 0.0
-        weight_ok = True
-        fitted, _rms = sample_component_fit(f, cfg.max_bidegree)
-        components = {
-            j: v for j, v in fitted.items() if tuple(j) not in ((0, 0), (1, 1))
-        }
-        residual_norm = float(np.sqrt(max(sum(components.values()), 0.0)))
-        cross_gap = None
-        cross_ok = True
-    residual_ok = residual_norm <= cfg.tol
+    sums = basis_weight_sums(f, N_BASES, rng.child(0))
+    weight = complex(np.mean(sums))
+    max_dev = float(np.max(np.abs(sums - weight)))
+    weight_ok = max_dev <= weight_tol
+    residual = frame_residual(f, cfg.max_bidegree, detail=True)
+    residual_ok = residual.norm <= cfg.tol
+    cross = reconstruct_harmonic(f)
+    cross_gap = float(np.max(np.abs(reconstruction.entries - cross.entries)))
+    cross_ok = cross_gap <= cross_tol
 
     symmetry = hermitian_check(f, reconstruction, rng=rng.child(1))
     additivity = None
@@ -307,14 +292,14 @@ def cmd_verify_frame(cfg) -> int:
             "estimates": [[complex(w).real, complex(w).imag] for w in sums],
             "mean": [weight.real, weight.imag],
             "max_deviation": max_dev,
-            "n_bases": N_BASES if evaluatable else 0,
+            "n_bases": N_BASES,
             "verdict": bool(weight_ok),
         },
         "residual": {
-            "l2_norm": residual_norm,
+            "l2_norm": residual.norm,
             "components": [
                 {"p": int(j[0]), "q": int(j[1]), "norm_sq": float(v)}
-                for j, v in sorted(components.items())
+                for j, v in sorted(residual.components.items())
                 if float(v) > NORM_FLOOR**2
             ],
             "verdict": bool(residual_ok),
@@ -342,19 +327,8 @@ def cmd_decompose(cfg) -> int:
     """Component norms of the input over all bidegrees p+q <= max_bidegree."""
     f = _load_frame_input(cfg)
     degrees = bidegrees_up_to(cfg.max_bidegree)
-    if f.model == "samples":
-        fitted, _rms = sample_component_fit(f, cfg.max_bidegree)
-        norms = {j: float(np.sqrt(max(v, 0.0))) for j, v in fitted.items()}
-    else:
-        # components the input cannot reach are exactly zero and print no row
-        reachable = reachable_bidegrees(f.polynomial_parts())
-        norms = {}
-        for j in degrees:
-            if j not in reachable:
-                norms[j] = 0.0
-                continue
-            component = project_basis(f, build_basis(f.n, j), integration="exact")
-            norms[j] = float(np.sqrt(float(abs(complex(norm_sq(component))))))
+    norms_sq = _exact_component_norms(f.n, f.polynomial_parts(), degrees)
+    norms = {j: math.sqrt(v) for j, v in norms_sq.items()}
     rows = [
         (int(j[0]), int(j[1]), dimension(f.n, j), repr(norms[j]))
         for j in degrees
@@ -468,28 +442,32 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="framesphere",
         description="harmonic analysis and frame-function verification on the complex sphere",
     )
     parser.add_argument("--version", action="version", version=f"framesphere {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    subs = {}
     for command, (_func, help_text, settings, defaults) in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=help_text)
+        sub = subs[command] = subparsers.add_parser(command, help=help_text)
         for name in settings:
             cast, default, setting_help, _check = _SETTINGS[name]
             default = defaults.get(name, default)
             if default is not None:
                 setting_help += f" (default {default})"
             sub.add_argument("--" + _flag(name), dest=name, type=cast, help=setting_help)
-    return parser
+    return parser, subs
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subs = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # reported with the usage of the command that rejects them
+            subs[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code) if exc.code else 0
     try:

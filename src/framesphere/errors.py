@@ -37,9 +37,5 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line or field."""
 
 
-class UnsupportedEvaluationError(TypeError):
-    """Pointwise evaluation requested on a model that only stores samples."""
-
-
 class NegativityWarning(UserWarning):
     """A reconstructed operator has negative eigenvalues (reported, not fatal)."""

@@ -4,10 +4,10 @@ A frame function assigns a value to every unit vector of C^n so that the sum
 over each orthonormal basis comes out the same; that common value is the
 weight.  Square-integrable frame functions are exactly the quadratic forms
 f(z) = <z|Az>, which makes the operator A recoverable from function values.
-This module stores the competing models (operator form, harmonic components,
-raw samples), checks the constant-sum property, reconstructs A by two
-independent routes, and verifies that the induced measure on projectors is
-additive.
+This module stores the two models (operator form, harmonic components),
+fits scattered samples to a harmonic model, checks the constant-sum property,
+reconstructs A by two independent routes, and verifies that the induced
+measure on projectors is additive.
 """
 
 import math
@@ -25,13 +25,13 @@ from .errors import (
     ParseError,
     ShapeMismatchError,
     UnderdeterminedDataError,
-    UnsupportedEvaluationError,
 )
 from .exact import GaussianRational
 from .harmonics import (
     BiDegree,
     bidegrees_up_to,
     build_basis,
+    dimension,
     project_basis,
     reachable_bidegrees,
 )
@@ -159,44 +159,29 @@ def random_orthonormal_basis(n: int, rng: RngStream) -> OrthonormalBasis:
 
 
 class FrameFunction:
-    """A function on unit vectors of C^n, in one of three concrete models.
+    """A function on unit vectors of C^n, in one of two concrete models.
 
     operator  -- f(z) = <z|Az> for an OperatorMatrix A
     harmonic  -- a finite sum of harmonic components keyed by bidegree
-    samples   -- scattered (point, value) observations; not evaluatable at
-                 new points, but usable for least-squares reconstruction
+
+    Scattered samples become a harmonic model through ``fit_samples``.
     """
 
-    def __init__(self, *, operator=None, harmonic=None, samples=None):
-        given = [
-            name
-            for name, value in (
-                ("operator", operator),
-                ("harmonic", harmonic),
-                ("samples", samples),
-            )
-            if value is not None
-        ]
-        if len(given) != 1:
-            raise ConfigurationError(
-                f"exactly one of operator/harmonic/samples is required, got {given or 'none'}"
-            )
-        self.model = given[0]
+    def __init__(self, *, operator=None, harmonic=None):
+        if (operator is None) == (harmonic is None):
+            raise ConfigurationError("exactly one of operator/harmonic is required")
         self.operator = None
         self.components = None
-        self.points = None
-        self.values = None
         if operator is not None:
             op = operator if isinstance(operator, OperatorMatrix) else OperatorMatrix(operator)
             _require_dimension(op.n)
+            self.model = "operator"
             self.operator = op
             self.n = op.n
-        elif harmonic is not None:
+        else:
+            self.model = "harmonic"
             self.components = _validated_components(harmonic)
             self.n = next(iter(self.components.values())).n
-        else:
-            self.points, self.values = _validated_samples(samples)
-            self.n = self.points.shape[1]
 
     def evaluate(self, z) -> complex:
         coords = _as_point(z, self.n)
@@ -209,18 +194,12 @@ class FrameFunction:
             raise ShapeMismatchError(f"expected points of shape (m, {self.n}), got {pts.shape}")
         if self.model == "operator":
             return _quadratic_form(self.operator.entries, pts)
-        if self.model == "harmonic":
-            return PolynomialEvaluator(self.components.values(), self.n)(pts).sum(axis=0)
-        raise UnsupportedEvaluationError(
-            "sample-set frame functions cannot be evaluated at new points"
-        )
+        return PolynomialEvaluator(self.components.values(), self.n)(pts).sum(axis=0)
 
     def polynomial_parts(self):
         if self.model == "operator":
             return [BiDegreePolynomial.from_quadratic_form(self.operator.entries)]
-        if self.model == "harmonic":
-            return list(self.components.values())
-        return None
+        return list(self.components.values())
 
     def __repr__(self):
         return f"FrameFunction(n={self.n}, model={self.model!r})"
@@ -254,13 +233,7 @@ def _validated_components(harmonic) -> dict:
     return components
 
 
-def _validated_samples(samples):
-    if isinstance(samples, tuple) and len(samples) == 2:
-        points, values = samples
-    else:
-        pairs = list(samples)
-        points = [getattr(z, "coords", z) for z, _ in pairs]
-        values = [v for _, v in pairs]
+def _validated_samples(points, values):
     pts = np.asarray(points, dtype=complex)
     vals = np.asarray(values, dtype=complex)
     if pts.ndim != 2 or vals.ndim != 1 or pts.shape[0] != vals.shape[0]:
@@ -279,6 +252,48 @@ def _validated_samples(samples):
             f"sample point {worst} has norm {norms[worst]!r}, out of tolerance {UNIT_TOL}"
         )
     return pts, vals
+
+
+def fit_samples(points, values, j_max: int) -> FrameFunction:
+    """The harmonic model that fits scattered samples best in least squares.
+
+    Fits the values jointly on the orthonormal harmonic basis functions of
+    every bidegree p+q <= max(j_max, 2), so the constant and (1,1) parts,
+    where quadratic forms live, are always fitted and the joint fit keeps
+    finite-sample cross-talk between bidegrees out of them.  Each bidegree's
+    fitted coefficients become one harmonic component of the returned model,
+    which every exact route (weights, residual, both reconstructions) then
+    reads like any other.  Raises ``UnderdeterminedDataError`` when there are
+    fewer points than basis functions or the points leave the fit
+    rank-deficient.
+    """
+    pts, vals = _validated_samples(points, values)
+    if j_max < 0:
+        raise ConfigurationError(f"j_max must be nonnegative, got {j_max}")
+    m, n = pts.shape
+    top = max(j_max, 2)
+    degrees = bidegrees_up_to(top)
+    width = sum(dimension(n, j) for j in degrees)
+    if m < width:
+        raise UnderdeterminedDataError(
+            f"joint fit over p+q <= {top} has {width} features but only {m} samples"
+        )
+    bases = [build_basis(n, j).basis for j in degrees]
+    design = PolynomialEvaluator([z_m for basis in bases for z_m in basis], n)(pts).T
+    solution, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
+    if rank < width:
+        raise UnderdeterminedDataError(
+            f"sample points span only rank {rank} of the {width} harmonic features"
+        )
+    components = {}
+    coeffs = iter(solution)
+    for j, basis in zip(degrees, bases):
+        terms = {}
+        for z_m, c in zip(basis, coeffs):
+            for key, v in z_m.terms.items():
+                terms[key] = terms.get(key, 0) + v * c
+        components[j] = BiDegreePolynomial(n, j.p, j.q, terms)
+    return FrameFunction(harmonic=components)
 
 
 def _as_point(z, n: int) -> np.ndarray:
@@ -377,23 +392,6 @@ def _moment_features(n: int) -> list:
     return [BiDegreePolynomial.from_quadratic_form(form(k, l)) for k in range(n) for l in range(n)]
 
 
-def _fit_sample_set(f: FrameFunction) -> OperatorMatrix:
-    n, m = f.n, f.points.shape[0]
-    if m < n * n:
-        raise UnderdeterminedDataError(
-            f"least squares needs at least n^2 = {n * n} sample points, got {m}"
-        )
-    # ordinary least squares on the n^2 features conj(z_k) z_l; their span on
-    # the sphere is constants + the (1,1) harmonics, where quadratic forms live
-    design = np.einsum("sk,sl->skl", np.conj(f.points), f.points).reshape(m, n * n)
-    solution, _, rank, _ = np.linalg.lstsq(design, f.values, rcond=None)
-    if rank < n * n:
-        raise UnderdeterminedDataError(
-            f"sample points span only rank {rank} of the {n * n} quadratic features"
-        )
-    return OperatorMatrix(solution.reshape(n, n))
-
-
 def reconstruct_moment(f, n_samples=None, rng=None, *, return_stderr=False):
     """Recover A with f(z) = <z|Az> from second moments of f on the sphere.
 
@@ -406,15 +404,9 @@ def reconstruct_moment(f, n_samples=None, rng=None, *, return_stderr=False):
     unset the inner products are exact quadrature (polynomial models only);
     with ``n_samples`` set they are Monte Carlo averages, and
     ``return_stderr=True`` additionally returns the estimated Frobenius
-    standard error.  Sample-set models are instead fit by least squares on
-    the quadratic features.
+    standard error.
     """
     n = _ambient_dimension(f)
-    if isinstance(f, FrameFunction) and f.model == "samples":
-        if return_stderr:
-            raise ConfigurationError("stderr is only defined for the Monte Carlo route")
-        return _fit_sample_set(f)
-
     if n_samples is None:
         if return_stderr:
             raise ConfigurationError("stderr is only defined for the Monte Carlo route")
@@ -458,12 +450,12 @@ def reconstruct_harmonic(f, n_samples=None, rng=None) -> OperatorMatrix:
                 "exact quadrature needs a polynomial model; pass n_samples for Monte Carlo"
             )
         c = _sum_inner(BiDegreePolynomial.constant(n, Fraction(1)), parts)
-        f11 = project_basis(f, space, integration="exact")
+        f11 = project_basis(f, space)
     else:
         if rng is None:
             raise ConfigurationError("Monte Carlo reconstruction needs an RngStream")
         c = mc_integrate_sphere(f, n, n_samples, rng.child(0)).mean
-        f11 = project_basis(f, space, integration="mc", n_samples=n_samples, rng=rng.child(1))
+        f11 = project_basis(f, space, n_samples=n_samples, rng=rng.child(1))
 
     a0 = np.zeros((n, n), dtype=complex)
     for k in range(n):
@@ -512,6 +504,27 @@ def _abs_sq(value):
     return abs(complex(value)) ** 2
 
 
+def _exact_component_norms(n: int, parts, degrees) -> dict:
+    """||pi_j f||^2 = sum_m |<v_m, f>|^2 / r_m for each bidegree j, by exact quadrature.
+
+    f is the sum of ``parts``; v_m are the exact orthogonal basis polynomials
+    of H_j with squared norms r_m.  Bases are built only for the bidegrees
+    some part can reach; the rest are exact zeros.  Fractions when every part
+    is exact, floats otherwise.
+    """
+    zero = Fraction(0) if all(part.is_exact for part in parts) else 0.0
+    reachable = reachable_bidegrees(parts)
+    norms = {}
+    for j in degrees:
+        comp = zero
+        if j in reachable:
+            space = build_basis(n, j)
+            for v, r in zip(space.polys, space.norms_sq):
+                comp = comp + _abs_sq(_sum_inner(v, parts)) / r
+        norms[j] = comp
+    return norms
+
+
 def frame_residual(f, j_max: int, *, n_samples=None, rng=None, detail=False):
     """L2 distance from f to its constant + (1,1) part, over p+q <= j_max.
 
@@ -535,19 +548,9 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, detail=False):
             raise ConfigurationError(
                 "exact quadrature needs a polynomial model; pass n_samples for Monte Carlo"
             )
-        exact_in = all(part.is_exact for part in parts)
-        reachable = reachable_bidegrees(parts)
-        components = {}
-        total = Fraction(0) if exact_in else 0.0
-        for j in degrees:
-            comp = Fraction(0) if exact_in else 0.0
-            if j not in reachable:
-                components[j] = comp
-                continue
-            space = build_basis(n, j)
-            for v, r in zip(space.polys, space.norms_sq):
-                comp = comp + _abs_sq(_sum_inner(v, parts)) / r
-            components[j] = comp
+        components = _exact_component_norms(n, parts, degrees)
+        total = Fraction(0) if all(part.is_exact for part in parts) else 0.0
+        for comp in components.values():
             total = total + comp
         report = FrameResidualReport(math.sqrt(float(total)), total, None, components)
         return report if detail else report.norm
@@ -570,45 +573,6 @@ def frame_residual(f, j_max: int, *, n_samples=None, rng=None, detail=False):
         math.sqrt(max(total, 0.0)), total, math.sqrt(variance), components
     )
     return report if detail else report.norm
-
-
-def sample_component_fit(f: FrameFunction, j_max: int):
-    """Joint least squares of a sample set onto harmonics with p+q <= j_max.
-
-    Scattered samples cannot be integrated, so the component norms are
-    estimated by ordinary least squares on the orthonormal harmonic basis
-    functions of every bidegree up to ``j_max`` at once (the joint fit keeps
-    finite-sample cross-talk between bidegrees out of the norms).  Returns a
-    dict of squared-norm estimates keyed by bidegree and the rms of the
-    remaining pointwise residual.  The (0,0) and (1,1) groups carry the
-    quadratic form; mass anywhere else is the frame defect.
-    """
-    if not isinstance(f, FrameFunction) or f.model != "samples":
-        raise ConfigurationError("sample_component_fit needs a sample-set frame function")
-    if j_max < 0:
-        raise ConfigurationError(f"j_max must be nonnegative, got {j_max}")
-    n, m = f.n, f.points.shape[0]
-    degrees = bidegrees_up_to(j_max)
-    bases = [build_basis(n, j).basis for j in degrees]
-    width = sum(len(basis) for basis in bases)
-    if m < width:
-        raise UnderdeterminedDataError(
-            f"joint fit over p+q <= {j_max} has {width} features but only {m} samples"
-        )
-    design = PolynomialEvaluator([z_m for basis in bases for z_m in basis], n)(f.points).T
-    solution, _, rank, _ = np.linalg.lstsq(design, f.values, rcond=None)
-    if rank < width:
-        raise UnderdeterminedDataError(
-            f"sample points span only rank {rank} of the {width} harmonic features"
-        )
-    components = {}
-    col = 0
-    for j, basis in zip(degrees, bases):
-        coeffs = solution[col : col + len(basis)]
-        components[j] = float(np.sum(np.abs(coeffs) ** 2))
-        col += len(basis)
-    rms = float(np.sqrt(np.mean(np.abs(f.values - design @ solution) ** 2)))
-    return components, rms
 
 
 # ---------------------------------------------------------------------------
@@ -670,17 +634,14 @@ class HermitianCheckResult:
 def hermitian_check(f, a: OperatorMatrix, n_points: int = 256, rng=None):
     """Real-valued f must reconstruct to a Hermitian operator.
 
-    Samples f (or reads the stored sample values) and tests the imaginary
-    parts against 1e-10; when they vanish, the Hermitian flag of ``a`` is
-    asserted.  Complex-valued f carries no constraint.
+    Samples f and tests the imaginary parts against 1e-10; when they vanish,
+    the Hermitian flag of ``a`` is asserted.  Complex-valued f carries no
+    constraint.
     """
-    if isinstance(f, FrameFunction) and f.model == "samples":
-        values = f.values
-    else:
-        if rng is None:
-            rng = RngStream(seed=0, stream_id=102)
-        n = _ambient_dimension(f)
-        values = batch_evaluator(f)(sphere_sample_batch(n, n_points, rng))
+    if rng is None:
+        rng = RngStream(seed=0, stream_id=102)
+    n = _ambient_dimension(f)
+    values = batch_evaluator(f)(sphere_sample_batch(n, n_points, rng))
     max_imag = float(np.max(np.abs(values.imag)))
     real_valued = max_imag <= REAL_TOL
     hermitian = a.is_hermitian

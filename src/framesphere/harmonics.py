@@ -693,24 +693,22 @@ def character_batch(space: HarmonicSubspace, gs: np.ndarray) -> np.ndarray:
 def project_basis(
     f,
     space: HarmonicSubspace,
-    integration: str = "exact",
     n_samples: int | None = None,
     rng: RngStream | None = None,
 ) -> BiDegreePolynomial:
     """Orthogonal projection of ``f`` onto the subspace, in the basis route.
 
-    f_j = sum_m <Z_m, f> Z_m.  With ``integration="exact"`` the inner
-    products are exact quadrature (f must be a polynomial or a sum of
-    polynomials; exact inputs give exact outputs since the square roots of
-    the basis norms cancel).  With ``integration="mc"`` the coefficients are
-    Monte Carlo estimates over ``n_samples`` sphere points shared across the
-    basis.
+    f_j = sum_m <Z_m, f> Z_m.  With ``n_samples`` unset the inner products
+    are exact quadrature (f must be a polynomial or a sum of polynomials;
+    exact inputs give exact outputs since the square roots of the basis norms
+    cancel).  With ``n_samples`` set the coefficients are Monte Carlo
+    estimates over ``n_samples`` sphere points shared across the basis.
     """
-    if integration == "exact":
+    if n_samples is None:
         parts = _polynomial_parts(f)
         if parts is None:
             raise ConfigurationError(
-                "exact projection needs a polynomial input; use integration='mc'"
+                "exact projection needs a polynomial input; pass n_samples for Monte Carlo"
             )
         zero = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
         result = zero
@@ -719,14 +717,12 @@ def project_basis(
             if not (isinstance(coeff, complex) and coeff == 0):
                 result = result + v * coeff
         return result
-    if integration == "mc":
-        evaluator = PolynomialEvaluator(space.basis, space.n)
-        means, _ = _mc_feature_means(f, evaluator, space.n, n_samples, rng)
-        result = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
-        for z_m, coeff in zip(space.basis, means):
-            result = result + z_m * complex(coeff)
-        return result
-    raise ConfigurationError(f"unknown integration mode {integration!r}")
+    evaluator = PolynomialEvaluator(space.basis, space.n)
+    means, _ = _mc_feature_means(f, evaluator, space.n, n_samples, rng)
+    result = BiDegreePolynomial(space.n, space.j.p, space.j.q, {})
+    for z_m, coeff in zip(space.basis, means):
+        result = result + z_m * complex(coeff)
+    return result
 
 
 def project_character(

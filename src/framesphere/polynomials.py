@@ -327,8 +327,7 @@ def _polynomial_parts(f):
         return list(f)
     parts = getattr(f, "polynomial_parts", None)
     if parts is not None:
-        value = parts() if callable(parts) else parts
-        return None if value is None else list(value)
+        return list(parts() if callable(parts) else parts)
     return None
 
 

@@ -190,7 +190,7 @@ def test_criterion_05_projection_routes_agree():
         }
     )
     space = build_basis(n, (1, 1))
-    exact = project_basis(f, space, integration="exact")
+    exact = project_basis(f, space)
     points = sphere_sample_batch(n, 10, RngStream(seed=510))
     worst = 0.0
     all_ok = True
@@ -292,7 +292,7 @@ def test_criterion_08_projected_components_have_zero_weight():
     candidates = [FrameFunction(operator=_random_hermitian(n, gen)), _quartic_negative_control()]
     worst = 0.0
     for i, f in enumerate(candidates):
-        f11 = project_basis(f, space, integration="exact")
+        f11 = project_basis(f, space)
         sums = basis_weight_sums(f11, 100, RngStream(seed=810, stream_id=i))
         worst = max(worst, float(np.max(np.abs(sums))))
     ok = worst <= 1e-8

@@ -11,9 +11,9 @@ from framesphere.cli import (
     write_samples_csv,
 )
 from framesphere.frame import FrameFunction, OperatorMatrix
-from framesphere.harmonics import bidegrees_up_to, build_basis, project_basis
+from framesphere.harmonics import bidegrees_up_to, build_basis
 from framesphere.measure import RngStream, sphere_sample_batch
-from framesphere.polynomials import BiDegreePolynomial, norm_sq
+from framesphere.polynomials import BiDegreePolynomial, inner_product
 
 
 def _operator_file(tmp_path, entries, name="op.json"):
@@ -106,7 +106,19 @@ def test_verify_frame_rejects_quartic_samples(tmp_path, capsys):
     assert payload["verdict"] is False
     flagged = {(row["p"], row["q"]): row["norm_sq"] for row in payload["residual"]["components"]}
     assert flagged[(2, 2)] == pytest.approx(1 / 300, rel=1e-6)
-    assert payload["weight"]["n_bases"] == 0  # scattered data: no basis sums
+    assert payload["weight"]["n_bases"] == 100
+    assert payload["weight"]["verdict"] is False
+
+
+def test_verify_frame_reconstructs_only_the_quadratic_part_of_quartic_samples(tmp_path, capsys):
+    # the (0,0) + (1,1) part of |z1|^4 at n = 3 is <z|Az> with A = diag(0.7, -0.1, -0.1)
+    path = _quartic_samples_file(tmp_path)
+    assert main(["verify-frame", "--input", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    rec = OperatorMatrix.from_dict(payload["reconstruction"]["operator"])
+    assert np.max(np.abs(rec.entries - np.diag([0.7, -0.1, -0.1]))) < 1e-12
+    assert payload["reconstruction"]["cross_method_gap"] < 1e-12
+    assert payload["reconstruction"]["verdict"] is True
 
 
 def test_verify_frame_accepts_quadratic_samples(tmp_path, capsys):
@@ -117,6 +129,16 @@ def test_verify_frame_accepts_quadratic_samples(tmp_path, capsys):
     assert payload["verdict"] is True
     rec = OperatorMatrix.from_dict(payload["reconstruction"]["operator"])
     assert np.max(np.abs(rec.entries - a)) < 1e-10
+
+
+def test_verify_frame_accepts_quadratic_samples_at_low_max_bidegree(tmp_path, capsys):
+    # the fit still covers p+q <= 2, so no (1,1) mass leaks into (1,0) and (0,1)
+    path, a = _quadratic_samples_file(tmp_path)
+    code = main(["verify-frame", "--input", path, "--max-bidegree", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["residual"]["l2_norm"] < 1e-12
+    assert payload["weight"]["verdict"] is True
 
 
 def test_verify_frame_is_deterministic(tmp_path):
@@ -190,11 +212,15 @@ def test_decompose_identity_operator(tmp_path, capsys):
 
 
 def _every_bidegree_decompose_csv(f, max_bidegree):
-    """decompose's table with a basis built and projected for every bidegree."""
+    """decompose's table with sum_m |<v_m, f>|^2 / r_m over a basis of every bidegree."""
     lines = ["p,q,dim,component_l2_norm"]
+    (part,) = f.polynomial_parts()
     for j in bidegrees_up_to(max_bidegree):
         space = build_basis(f.n, j)
-        norm = float(np.sqrt(float(abs(complex(norm_sq(project_basis(f, space)))))))
+        norm_sq = 0.0
+        for v, r in zip(space.polys, space.norms_sq):
+            norm_sq = norm_sq + abs(complex(inner_product(v, part))) ** 2 / r
+        norm = float(np.sqrt(norm_sq))
         if norm > 1e-12:
             lines.append(f"{j.p},{j.q},{space.dim},{norm!r}")
     return "\n".join(lines) + "\n"
@@ -317,6 +343,14 @@ def test_workers_flag_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify-frame", "--input", path, "--output", str(out)]) == 0
     assert "workers" not in json.loads(out.read_text())["config"]
+
+
+def test_unread_flag_is_reported_with_the_command_usage(tmp_path, capsys):
+    path = _operator_file(tmp_path, np.diag([1.0, 2.0, 3.0]))
+    assert main(["gleason-demo", "--input", path, "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: framesphere gleason-demo ")
+    assert "framesphere gleason-demo: error: unrecognized arguments: --n 3" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -522,6 +556,11 @@ def test_dimension_mismatch_exits_2(tmp_path, capsys):
 def test_default_dimension_flag_still_checked_against_input(tmp_path, capsys):
     path = _operator_file(tmp_path, np.eye(4))
     assert main(["verify-frame", "--input", path, "--n", "3"]) == 2
+    assert "disagrees" in capsys.readouterr().err
+    # checked before the fit: 30 points are too few for n = 4 but enough to be read
+    samples = tmp_path / "few.csv"
+    write_samples_csv(samples, sphere_sample_batch(3, 30, RngStream(seed=3)), np.ones(30))
+    assert main(["decompose", "--input", str(samples), "--n", "4"]) == 2
     assert "disagrees" in capsys.readouterr().err
 
 

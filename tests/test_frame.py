@@ -9,7 +9,6 @@ from framesphere.errors import (
     SamplingFailureError,
     ShapeMismatchError,
     UnderdeterminedDataError,
-    UnsupportedEvaluationError,
 )
 from framesphere import frame
 from framesphere.exact import GaussianRational
@@ -21,6 +20,7 @@ from framesphere.frame import (
     basis_sum,
     basis_weight_sums,
     check_frame_property,
+    fit_samples,
     frame_residual,
     gleason_additivity_check,
     hermitian_check,
@@ -28,10 +28,9 @@ from framesphere.frame import (
     random_orthonormal_basis,
     reconstruct_harmonic,
     reconstruct_moment,
-    sample_component_fit,
     _moment_features,
 )
-from framesphere.harmonics import BiDegree, build_basis, project_basis, project_character
+from framesphere.harmonics import BiDegree, bidegrees_up_to, build_basis, project_basis, project_character
 from framesphere.measure import (
     MC_CHUNK,
     RngStream,
@@ -39,7 +38,7 @@ from framesphere.measure import (
     mc_integrate_sphere,
     sphere_sample_batch,
 )
-from framesphere.polynomials import BiDegreePolynomial, inner_product
+from framesphere.polynomials import BiDegreePolynomial, inner_product, norm_sq
 
 
 def _quartic_frame(n=3):
@@ -137,22 +136,11 @@ def test_harmonic_model_rejects_mismatched_key():
         FrameFunction(harmonic={(2, 2): space.polys[0]})
 
 
-def test_samples_model_stores_but_cannot_evaluate():
-    pts = sphere_sample_batch(3, 10, RngStream(seed=1))
-    vals = np.ones(10)
-    f = FrameFunction(samples=(pts, vals))
-    assert f.model == "samples"
-    assert f.n == 3
-    with pytest.raises(UnsupportedEvaluationError):
-        f.evaluate([1.0, 0.0, 0.0])
-    assert f.polynomial_parts() is None
-
-
 def test_samples_model_checks_unit_norm():
     pts = sphere_sample_batch(3, 4, RngStream(seed=2))
     pts[2] *= 1.5
     with pytest.raises(ShapeMismatchError, match="point 2"):
-        FrameFunction(samples=(pts, np.ones(4)))
+        fit_samples(pts, np.ones(4), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +317,20 @@ def test_reconstruct_moment_from_samples_least_squares():
     a = _random_hermitian(3, gen)
     pts = sphere_sample_batch(3, 400, RngStream(seed=8))
     vals = np.einsum("sk,kl,sl->s", np.conj(pts), a, pts)
-    f = FrameFunction(samples=(pts, vals))
-    got = reconstruct_moment(f)
+    got = reconstruct_moment(fit_samples(pts, vals, 2))
     assert np.max(np.abs(got.entries - a)) < 1e-10
 
 
 def test_reconstruct_moment_underdetermined_sample_sets():
-    pts = sphere_sample_batch(3, 5, RngStream(seed=9))  # fewer than n^2 = 9
-    f = FrameFunction(samples=(pts, np.ones(5)))
-    with pytest.raises(UnderdeterminedDataError):
-        reconstruct_moment(f)
+    # p+q <= 2 at n = 3 has 1 + 3 + 3 + 6 + 8 + 6 = 27 basis functions
+    pts = sphere_sample_batch(3, 5, RngStream(seed=9))
+    with pytest.raises(UnderdeterminedDataError, match="27 features"):
+        fit_samples(pts, np.ones(5), 2)
 
     # enough rows but rank-deficient: the same point repeated
-    pts = np.tile(np.array([[1.0 + 0j, 0, 0]]), (12, 1))
-    f = FrameFunction(samples=(pts, np.ones(12)))
-    with pytest.raises(UnderdeterminedDataError):
-        reconstruct_moment(f)
+    pts = np.tile(np.array([[1.0 + 0j, 0, 0]]), (30, 1))
+    with pytest.raises(UnderdeterminedDataError, match="rank 1 of the 27"):
+        fit_samples(pts, np.ones(30), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +504,7 @@ def test_monte_carlo_routes_match_the_term_loop(use_term_loop):
     def run():
         residual = frame_residual(f, 4, n_samples=count, rng=RngStream(seed=22), detail=True)
         moment, stderr = reconstruct_moment(f, count, RngStream(seed=23), return_stderr=True)
-        projection = project_basis(f, space, integration="mc", n_samples=count, rng=RngStream(seed=24))
+        projection = project_basis(f, space, n_samples=count, rng=RngStream(seed=24))
         return residual, moment, stderr, projection
 
     residual, moment, stderr, projection = run()
@@ -614,7 +600,7 @@ _MC_ROUTES = {
     "reconstruct_moment": lambda count, rng: reconstruct_moment(_DIAGONAL, count, rng),
     "reconstruct_harmonic": lambda count, rng: reconstruct_harmonic(_DIAGONAL, count, rng),
     "project_basis": lambda count, rng: project_basis(
-        _DIAGONAL, build_basis(3, (1, 1)), integration="mc", n_samples=count, rng=rng
+        _DIAGONAL, build_basis(3, (1, 1)), n_samples=count, rng=rng
     ),
     "project_character": lambda count, rng: project_character(
         _DIAGONAL, build_basis(3, (1, 1)), [1.0, 0.0, 0.0], count, rng
@@ -661,29 +647,31 @@ def test_non_finite_value_reports_global_sample_index(chunk):
         lambda f: frame_residual(f, 0, n_samples=n_samples, rng=rng),
         lambda f: reconstruct_moment(f, n_samples, rng),
         lambda f: mc_integrate_sphere(f, 3, n_samples, rng),
-        lambda f: project_basis(f, space, integration="mc", n_samples=n_samples, rng=rng),
+        lambda f: project_basis(f, space, n_samples=n_samples, rng=rng),
     ]
     for route in routes:
         with pytest.raises(SamplingFailureError, match=f"at sample {index}$"):
             route(_NonFiniteAt(index))
 
 
-def test_sample_component_fit_recovers_exact_norms():
+def test_fit_samples_recovers_exact_norms():
     poly = BiDegreePolynomial.monomial(3, (2, 0, 0), (2, 0, 0))
     pts = sphere_sample_batch(3, 400, RngStream(seed=13))
-    f = FrameFunction(samples=(pts, poly.evaluate_batch(pts)))
-    components, rms = sample_component_fit(f, 4)
-    assert components[BiDegree(0, 0)] == pytest.approx(1 / 36, abs=1e-10)
-    assert components[BiDegree(1, 1)] == pytest.approx(8 / 225, abs=1e-10)
-    assert components[BiDegree(2, 2)] == pytest.approx(1 / 300, abs=1e-10)
-    assert rms < 1e-10
+    vals = poly.evaluate_batch(pts)
+    f = fit_samples(pts, vals, 4)
+    assert f.model == "harmonic"
+    assert set(f.components) == set(bidegrees_up_to(4))
+    assert norm_sq(f.components[BiDegree(0, 0)]) == pytest.approx(1 / 36, abs=1e-10)
+    assert norm_sq(f.components[BiDegree(1, 1)]) == pytest.approx(8 / 225, abs=1e-10)
+    assert norm_sq(f.components[BiDegree(2, 2)]) == pytest.approx(1 / 300, abs=1e-10)
+    assert np.max(np.abs(f.evaluate_batch(pts) - vals)) < 1e-10
 
 
-def test_sample_component_fit_needs_enough_points():
+def test_fit_samples_needs_enough_points():
     pts = sphere_sample_batch(3, 20, RngStream(seed=14))
-    f = FrameFunction(samples=(pts, np.ones(20)))
     with pytest.raises(UnderdeterminedDataError):
-        sample_component_fit(f, 4)
+        fit_samples(pts, np.ones(20), 4)
+
 
 
 # ---------------------------------------------------------------------------

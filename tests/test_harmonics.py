@@ -426,7 +426,7 @@ def test_project_basis_mc_agrees_with_exact():
     f = BiDegreePolynomial.monomial(n, (2, 0, 0), (2, 0, 0))
     space = build_basis(n, (1, 1))
     exact = project_basis(f, space)
-    approx = project_basis(f, space, integration="mc", n_samples=200_000, rng=RngStream(seed=19))
+    approx = project_basis(f, space, n_samples=200_000, rng=RngStream(seed=19))
     gap = approx - BiDegreePolynomial(n, 1, 1, {k: complex(c) for k, c in exact.terms.items()})
     worst = max(abs(complex(c)) for c in gap.terms.values())
     assert worst < 0.02
@@ -437,7 +437,7 @@ def test_project_basis_mc_chunks_match_one_batch():
     n_samples = 2 * MC_CHUNK + 9
     f = BiDegreePolynomial.monomial(3, (2, 0, 0), (2, 0, 0))
     space = build_basis(3, (1, 1))
-    got = project_basis(f, space, integration="mc", n_samples=n_samples, rng=RngStream(seed=19))
+    got = project_basis(f, space, n_samples=n_samples, rng=RngStream(seed=19))
     pts = sphere_sample_batch(3, n_samples, RngStream(seed=19))
     values = batch_evaluator(f)(pts)
     sums = np.zeros(space.dim, dtype=complex)
@@ -453,11 +453,7 @@ def test_project_basis_mc_needs_rng_and_samples():
     f = BiDegreePolynomial.monomial(3, (1, 0, 0), (1, 0, 0))
     space = build_basis(3, (1, 1))
     with pytest.raises(ConfigurationError):
-        project_basis(f, space, integration="mc", n_samples=1000)
-    with pytest.raises(ConfigurationError):
-        project_basis(f, space, integration="mc", rng=RngStream(seed=0))
-    with pytest.raises(ConfigurationError):
-        project_basis(f, space, integration="nope")
+        project_basis(f, space, n_samples=1000)
 
 
 def test_project_character_agrees_with_basis_route():
